@@ -27,7 +27,7 @@ from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureErro
 from .ingest import dataset_to_csv, ingest_csv, ingest_csv_stratified
 from .logit import c_statistic, fit_logit
 from .ols import fit_ols, vif
-from .ratio_ci import component_level, conservative_ratio_ci, ratio_point_estimate
+from .ratio_ci import component_level, conservative_ratio_ci
 from .sensitivity import TreatmentSummary, sensitivity_report
 from .simulate import (STUDY_PRESETS, DgpSpec, generate, population_bias_decomposition,
                        population_moments, population_ols_bias, replicate_study)
@@ -341,11 +341,10 @@ def _handle_ratio_ci(args) -> str:
     for label, data in _load_strata(args):
         interval = conservative_ratio_ci(data, args.exposure, args.proxy,
                                          args.controls, level)
-        point = ratio_point_estimate(data, args.exposure, args.proxy, args.controls)
         report["strata"].append({
             "stratum": label,
             "ratio_ci": {
-                "point_estimate": float(point),
+                "point_estimate": float(interval.point_estimate),
                 "lower": float(interval.lower),
                 "upper": float(interval.upper),
                 "level": float(interval.level),

@@ -6,6 +6,14 @@ column is categorical and gets expanded into 0/1 indicators named
 level is the most frequent one (ties broken by sort order).  Rows with a
 missing value in any column are dropped, with a counted warning.  Cells that
 parse to non-finite floats (nan, inf) also count as missing.
+
+Cells may be padded with whitespace, blank lines are skipped, and a leading
+UTF-8 byte-order mark is ignored.  Row numbers in a ParseError are the file's
+record numbers, blank lines included.
+
+The table is parsed column by column: each column is first read by one C-level
+`float` pass, and only a column where that pass fails (a blank cell or a
+categorical level) is parsed cell by cell, once per distinct string.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ import io
 import math
 import warnings
 from collections import Counter
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,32 +33,35 @@ from .dataset import Dataset
 from .errors import EmptyAfterFilteringError, ParseError
 
 _MISSING = object()
+_WRITE_BLOCK_ROWS = 4096
 
 
-def _read_rows(source) -> tuple[list[str], list[list[str]]]:
+def _read_table(source) -> tuple[list[str], list[list[str]]]:
+    """Header names and the raw (unstripped) cells of each data column."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read_rows(fh)
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return _read_table(fh)
     try:
-        reader = csv.reader(source)
-        table = [row for row in reader if row]
+        records = list(csv.reader(source))  # a blank line reads as an empty record
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
-    if not table:
+    header_row = next((i for i, row in enumerate(records, start=1) if row), None)
+    if header_row is None:
         raise ParseError("file has no header row")
-    header = [h.strip() for h in table[0]]
+    header = [h.strip() for h in records[header_row - 1]]
+    header[0] = header[0].removeprefix("\ufeff").strip()  # a BOM in a text stream
     if any(not h for h in header):
-        raise ParseError("header contains an empty column name", row=1)
+        raise ParseError("header contains an empty column name", row=header_row)
     dupes = [h for h, c in Counter(header).items() if c > 1]
     if dupes:
-        raise ParseError(f"duplicate column names: {dupes}", row=1)
-    rows = []
-    for i, row in enumerate(table[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", row=i)
-        rows.append([cell.strip() for cell in row])
-    return header, rows
+        raise ParseError(f"duplicate column names: {dupes}", row=header_row)
+    ncol = len(header)
+    if not set(map(len, records)) <= {0, ncol}:
+        for i, row in enumerate(records, start=1):
+            if row and len(row) != ncol:
+                raise ParseError(f"expected {ncol} fields, got {len(row)}", row=i)
+    cells = list(chain.from_iterable(records[header_row:]))  # row-major, blanks gone
+    return header, [cells[j::ncol] for j in range(ncol)]
 
 
 def _parse_cell(cell: str):
@@ -63,48 +76,88 @@ def _parse_cell(cell: str):
     return value
 
 
-def _build_dataset(header: list[str], rows: list[list[str]],
-                   source_name: str) -> Dataset:
-    ncol = len(header)
-    parsed = [[_parse_cell(row[j]) for row in rows] for j in range(ncol)]
-    numeric = [all(not isinstance(v, str) for v in col) for col in parsed]
+class _Column(NamedTuple):
+    """One parsed column.  `codes` is None when every cell is a float.  Else
+    each row's code indexes `levels`, where code 0 (level None) marks a
+    missing cell, and `text[code]` says whether a level is a categorical
+    string rather than the str() of a number."""
 
-    # string cells in a categorical column are levels; empty stays missing
-    keep = []
-    for i in range(len(rows)):
-        if all(parsed[j][i] is not _MISSING for j in range(ncol)):
-            keep.append(i)
-    dropped = len(rows) - len(keep)
+    values: np.ndarray  # float64 per row, nan where missing or text
+    missing: np.ndarray  # bool per row
+    codes: np.ndarray | None = None
+    levels: list | None = None
+    text: np.ndarray | None = None
+
+    def take(self, rows: np.ndarray) -> "_Column":
+        return self._replace(values=self.values[rows], missing=self.missing[rows],
+                             codes=None if self.codes is None else self.codes[rows])
+
+
+def _parse_column(cells: list[str]) -> _Column:
+    n = len(cells)
+    try:
+        values = np.fromiter(map(float, cells), np.float64, n)  # float() strips too
+    except ValueError:
+        pass
+    else:
+        return _Column(values, ~np.isfinite(values))
+    code_of: dict[str | None, int] = {None: 0}
+    numbers = [math.nan]
+    text = [False]
+    code_of_cell = {}
+    for cell in dict.fromkeys(cells):
+        value = _parse_cell(cell.strip())
+        level = None if value is _MISSING else str(value)
+        code = code_of.get(level)
+        if code is None:
+            code = code_of[level] = len(code_of)
+            is_text = isinstance(value, str)
+            numbers.append(math.nan if is_text else value)
+            text.append(is_text)
+        code_of_cell[cell] = code
+    codes = np.fromiter(map(code_of_cell.__getitem__, cells), np.intp, n)
+    return _Column(np.array(numbers)[codes], codes == 0, codes, list(code_of),
+                   np.array(text))
+
+
+def _build_dataset(header: list[str], columns: list[_Column], n: int,
+                   source_name: str) -> Dataset:
+    missing = np.zeros(n, dtype=bool)
+    for col in columns:
+        missing |= col.missing
+    dropped = int(np.count_nonzero(missing))
     if dropped:
         warnings.warn(
             f"{source_name}: dropped {dropped} row(s) with missing values",
             stacklevel=2)
-    if not keep:
+    if dropped == n:
         raise EmptyAfterFilteringError(
             f"{source_name}: no complete rows remain after dropping missing values")
+    keep = ~missing
 
     names: list[str] = []
-    columns: list[np.ndarray] = []
-    for j, col_name in enumerate(header):
-        col = [parsed[j][i] for i in keep]
-        if numeric[j]:
+    arrays: list[np.ndarray] = []
+    for col_name, col in zip(header, columns):
+        # a column is categorical when any of its cells, kept or not, is text
+        if col.codes is None or not col.text[col.codes].any():
             names.append(col_name)
-            columns.append(np.array(col, dtype=np.float64))
+            arrays.append(col.values[keep])
             continue
-        levels = [str(v) for v in col]
-        counts = Counter(levels)
+        codes = col.codes[keep]
+        counts = np.bincount(codes, minlength=len(col.levels))
+        present = {col.levels[c]: c for c in np.flatnonzero(counts)}
         # reference = most frequent level, ties broken lexicographically
-        reference = min(counts, key=lambda lv: (-counts[lv], lv))
-        for level in sorted(counts):
+        reference = min(present, key=lambda lv: (-counts[present[lv]], lv))
+        for level in sorted(present):
             if level == reference:
                 continue
             names.append(f"{col_name}:{level}")
-            columns.append(np.array([1.0 if v == level else 0.0 for v in levels]))
+            arrays.append((codes == present[level]).astype(np.float64))
 
     if not names:
         raise ParseError(f"{source_name}: no usable columns")
     try:
-        return Dataset(tuple(names), np.column_stack(columns))
+        return Dataset(tuple(names), np.column_stack(arrays))
     except ValueError as exc:
         raise ParseError(f"{source_name}: {exc}") from exc
 
@@ -112,8 +165,8 @@ def _build_dataset(header: list[str], rows: list[list[str]],
 def ingest_csv(source) -> Dataset:
     """Read a CSV file (path or open text stream) into a Dataset."""
     name = str(source) if isinstance(source, (str, Path)) else "<stream>"
-    header, rows = _read_rows(source)
-    return _build_dataset(header, rows, name)
+    header, cells = _read_table(source)
+    return _build_dataset(header, [_parse_column(c) for c in cells], len(cells[0]), name)
 
 
 def ingest_csv_stratified(source, stratify: str) -> list[tuple[str, Dataset]]:
@@ -124,32 +177,36 @@ def ingest_csv_stratified(source, stratify: str) -> list[tuple[str, Dataset]]:
     expansion happens independently within each stratum.
     """
     name = str(source) if isinstance(source, (str, Path)) else "<stream>"
-    header, rows = _read_rows(source)
+    header, cells = _read_table(source)
     if stratify not in header:
         raise KeyError(f"no column {stratify!r}; available: {', '.join(header)}")
     j = header.index(stratify)
+    labels = cells.pop(j)
     sub_header = header[:j] + header[j + 1:]
 
-    groups: dict[str, list[list[str]]] = {}
-    missing = 0
-    for row in rows:
-        label = row[j].strip()
-        if label == "":
-            missing += 1
-            continue
-        groups.setdefault(label, []).append(row[:j] + row[j + 1:])
-    if missing:
-        warnings.warn(f"{name}: dropped {missing} row(s) with a missing "
-                      f"{stratify!r} value", stacklevel=2)
-    if not groups:
+    group_of: dict[str, int] = {}
+    group_of_cell = {cell: group_of.setdefault(cell.strip(), len(group_of))
+                     for cell in dict.fromkeys(labels)}
+    groups = np.fromiter(map(group_of_cell.__getitem__, labels), np.intp, len(labels))
+    blank = group_of.pop("", None)
+    if blank is not None:
+        warnings.warn(f"{name}: dropped {np.count_nonzero(groups == blank)} row(s) "
+                      f"with a missing {stratify!r} value", stacklevel=2)
+    if not group_of:
         raise EmptyAfterFilteringError(f"{name}: every row is missing {stratify!r}")
-    return [(label, _build_dataset(sub_header, groups[label], f"{name}[{stratify}={label}]"))
-            for label in sorted(groups)]
+    columns = [_parse_column(c) for c in cells]
+    strata = []
+    for label in sorted(group_of):
+        rows = np.flatnonzero(groups == group_of[label])
+        strata.append((label, _build_dataset(sub_header, [c.take(rows) for c in columns],
+                                             len(rows), f"{name}[{stratify}={label}]")))
+    return strata
 
 
 def dataset_to_csv(data: Dataset, stream: io.TextIOBase) -> None:
     """Write a Dataset back out as CSV with full-precision floats."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(data.names)
-    for i in range(data.n):
-        writer.writerow([repr(float(v)) for v in data.values[i]])
+    csv.writer(stream, lineterminator="\n").writerow(data.names)
+    for start in range(0, data.n, _WRITE_BLOCK_ROWS):
+        columns = data.values[start:start + _WRITE_BLOCK_ROWS].T.tolist()
+        rows = zip(*[map(repr, col) for col in columns])
+        stream.write("\n".join(map(",".join, rows)) + "\n")

@@ -27,6 +27,7 @@ class RatioInterval:
     level: float
     beta_interval: tuple[float, float]
     variance_interval: tuple[float, float]
+    point_estimate: float  # from the same exposure fit as the interval
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -76,10 +77,15 @@ def _exposure_fit(data: Dataset, exposure: str, proxy: str,
     return fit_ols(data, exposure, [proxy, *controls], include_intercept=True)
 
 
+def _point_estimate(fit: OlsFit, proxy: str) -> float:
+    return fit.coefficient(proxy) / fit.residual_variance
+
+
 def conservative_ratio_ci(data: Dataset, exposure: str, proxy: str,
                           controls: list[str] | tuple[str, ...] = (),
                           level: float = 0.95) -> RatioInterval:
-    """Ratio interval with guaranteed coverage >= level under the model."""
+    """Ratio interval with guaranteed coverage >= level under the model, and
+    the point estimate, all from one fit of the exposure model."""
     level = _check_level(level)
     fit = _exposure_fit(data, exposure, proxy, controls)
     sub = component_level(level)
@@ -93,11 +99,11 @@ def conservative_ratio_ci(data: Dataset, exposure: str, proxy: str,
         level=level,
         beta_interval=beta_int,
         variance_interval=var_int,
+        point_estimate=_point_estimate(fit, proxy),
     )
 
 
 def ratio_point_estimate(data: Dataset, exposure: str, proxy: str,
                          controls: list[str] | tuple[str, ...] = ()) -> float:
     """Partial proxy coefficient over residual variance, from a single fit."""
-    fit = _exposure_fit(data, exposure, proxy, controls)
-    return fit.coefficient(proxy) / fit.residual_variance
+    return _point_estimate(_exposure_fit(data, exposure, proxy, controls), proxy)

@@ -3,13 +3,19 @@
 Nothing here shares code with the package: normal quantities go through the
 standard library's erf, t and chi-square CDFs are numeric integrals of their
 densities, quantiles are bisections on those integrals, least squares is
-solved by raw normal equations, and the logistic oracle runs Newton steps
-with finite-difference derivatives of the explicit log-likelihood.
+solved by raw normal equations, the logistic oracle runs Newton steps
+with finite-difference derivatives of the explicit log-likelihood, and the
+CSV reference reads and writes row by row, one cell at a time (the package's
+former ingest, without its later BOM and row-number fixes).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -146,3 +152,116 @@ def c_statistic_pairwise(scores: np.ndarray, y: np.ndarray) -> float:
             elif s == t:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# row-wise CSV reference
+# ---------------------------------------------------------------------------
+
+class CsvOracleError(Exception):
+    """`kind` is "parse" (malformed input) or "empty" (no complete rows)."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+_MISSING = object()
+
+
+def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
+    try:
+        table = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise CsvOracleError("parse", f"malformed CSV: {exc}") from exc
+    if not table:
+        raise CsvOracleError("parse", "file has no header row")
+    header = [h.strip() for h in table[0]]
+    if any(not h for h in header) or len(set(header)) != len(header):
+        raise CsvOracleError("parse", "bad header")
+    rows = []
+    for row in table[1:]:
+        if len(row) != len(header):
+            raise CsvOracleError("parse", "ragged row")
+        rows.append([cell.strip() for cell in row])
+    return header, rows
+
+
+def _csv_cell(cell: str):
+    if cell == "":
+        return _MISSING
+    try:
+        value = float(cell)
+    except ValueError:
+        return cell
+    return value if math.isfinite(value) else _MISSING
+
+
+def _csv_dataset(header, rows, source_name):
+    ncol = len(header)
+    parsed = [[_csv_cell(row[j]) for row in rows] for j in range(ncol)]
+    numeric = [all(not isinstance(v, str) for v in col) for col in parsed]
+    keep = [i for i in range(len(rows))
+            if all(parsed[j][i] is not _MISSING for j in range(ncol))]
+    dropped = len(rows) - len(keep)
+    if dropped:
+        warnings.warn(f"{source_name}: dropped {dropped} row(s) with missing values")
+    if not keep:
+        raise CsvOracleError("empty", "no complete rows")
+    names, columns = [], []
+    for j, col_name in enumerate(header):
+        col = [parsed[j][i] for i in keep]
+        if numeric[j]:
+            names.append(col_name)
+            columns.append(np.array(col, dtype=np.float64))
+            continue
+        levels = [str(v) for v in col]
+        counts = Counter(levels)
+        reference = min(counts, key=lambda lv: (-counts[lv], lv))
+        for level in sorted(counts):
+            if level != reference:
+                names.append(f"{col_name}:{level}")
+                columns.append(np.array([1.0 if v == level else 0.0 for v in levels]))
+    if not names or len(set(names)) != len(names):
+        raise CsvOracleError("parse", "no usable or duplicate columns")
+    return tuple(names), np.column_stack(columns)
+
+
+def csv_rowwise(text: str, source_name: str = "<stream>"):
+    """(names, values) of a CSV text; warns as the package does."""
+    header, rows = _csv_rows(text)
+    return _csv_dataset(header, rows, source_name)
+
+
+def csv_rowwise_stratified(text: str, stratify: str, source_name: str = "<stream>"):
+    """[(label, names, values)] per stratum, labels sorted."""
+    header, rows = _csv_rows(text)
+    if stratify not in header:
+        raise KeyError(stratify)
+    j = header.index(stratify)
+    groups: dict[str, list[list[str]]] = {}
+    missing = 0
+    for row in rows:
+        if row[j] == "":
+            missing += 1
+        else:
+            groups.setdefault(row[j], []).append(row[:j] + row[j + 1:])
+    if missing:
+        warnings.warn(f"{source_name}: dropped {missing} row(s) with a missing "
+                      f"{stratify!r} value")
+    if not groups:
+        raise CsvOracleError("empty", "every row is missing the stratum")
+    sub_header = header[:j] + header[j + 1:]
+    return [(label, *_csv_dataset(sub_header, groups[label],
+                                  f"{source_name}[{stratify}={label}]"))
+            for label in sorted(groups)]
+
+
+def csv_write_rowwise(names, values: np.ndarray) -> str:
+    """CSV text with one csv.writer row of repr(float) cells per data row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for row in values:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()

@@ -1,11 +1,16 @@
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from confound_lens import (Dataset, EmptyAfterFilteringError, ParseError,
                            ingest_csv, ingest_csv_stratified)
+from confound_lens.cli import main
 from confound_lens.ingest import dataset_to_csv
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv"
@@ -75,6 +80,38 @@ class TestParseErrors:
     def test_empty_header_name(self, tmp_path):
         with pytest.raises(ParseError):
             ingest_csv(_write(tmp_path, "a,\n1,2\n"))
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "a,b\n\n1,2\n\n3\n")
+        with pytest.raises(ParseError, match=r"expected 2 fields, got 1 \(row 5\)"):
+            ingest_csv(path)
+
+    def test_header_row_number_counts_leading_blank_lines(self, tmp_path):
+        with pytest.raises(ParseError, match=r"\(row 3\)"):
+            ingest_csv(_write(tmp_path, "\n\na,\n1,2\n"))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        data = ingest_csv(_write(tmp_path, "\na,b\n\n1,2\n\n\n3,4\n\n"))
+        assert data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestByteOrderMark:
+    def test_bom_file_first_column_is_named_cleanly(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b\n1,2\n3,5\n4,4\n".encode("utf-8-sig"))
+        assert ingest_csv(path).names == ("a", "b")
+        assert dict(ingest_csv_stratified(path, "a"))["1"].names == ("b",)
+
+    def test_bom_in_stream_is_stripped(self):
+        data = ingest_csv(io.StringIO("\ufeffa,b\n1,2\n"))
+        assert data.names == ("a", "b")
+
+    def test_cli_outcome_named_by_first_column(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b\n1,2\n3,5\n4,4\n6,9\n".encode("utf-8-sig"))
+        code = main(["fit", "--input", str(path), "--outcome", "a", "--exposure", "b",
+                     "--format", "json", "--deterministic"])
+        assert code == 0, capsys.readouterr().err
 
 
 class TestCategoricalExpansion:
@@ -156,3 +193,125 @@ class TestFixture:
         again = ingest_csv(io.StringIO(buf.getvalue()))
         assert again.names == data.names
         assert np.array_equal(again.values, data.values)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the row-wise reference reader and writer
+# ---------------------------------------------------------------------------
+
+NUMERIC_CELLS = ["0", "1", "1.0", "-0.0", "2.5", " 3 ", "\t4\t", "1e-5", "1E3",
+                 "1_0", "\xa05\u3000", "nan", "NaN", " inf", "-inf", "1e400", "-1e400"]
+BLANK_CELLS = ["", " ", "\t", "\xa0", "\u2003"]
+TEXT_CELLS = ["a", "b", " a ", "A", "1x", "x1", "e", "-", ".", "b\t", "n a"]
+CELL_ALPHABET = "ab1.e-+_ \t\xa0\u2003\x85\u2028"
+
+cell_pools = st.sampled_from([
+    NUMERIC_CELLS,
+    NUMERIC_CELLS + BLANK_CELLS,
+    TEXT_CELLS,
+    TEXT_CELLS + BLANK_CELLS,
+    NUMERIC_CELLS + TEXT_CELLS + BLANK_CELLS,
+    ["a", "b"],  # frequency ties are common with two levels
+    ["a"],  # a single level
+    ["1", "b"],  # a 1 level in a categorical column stays "1.0"
+])
+
+
+@st.composite
+def csv_texts(draw, stratify=False):
+    ncol = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 25))
+    pools = [draw(cell_pools) for _ in range(ncol)]
+    header = [draw(st.sampled_from(["c{}", " c{} ", "c{}\t"])).format(j) for j in range(ncol)]
+    if stratify:
+        header = ["s"] + header
+        pools = [["M", "F", " M", "M ", "", " ", "F"]] + pools
+    lines = [",".join(header)]
+    for _ in range(nrows):
+        cells = [draw(st.one_of(st.sampled_from(pool),
+                                st.text(CELL_ALPHABET, max_size=4)) if len(pool) > 2
+                      else st.sampled_from(pool))
+                 for pool in pools]
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank line
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn):
+    """("ok", result, warnings) or ("error", kind, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", fn())
+        except (ParseError, oracles.CsvOracleError) as exc:
+            result = ("error", getattr(exc, "kind", "parse"))
+        except EmptyAfterFilteringError:
+            result = ("error", "empty")
+        except KeyError:
+            result = ("error", "key")
+    return (*result, [str(w.message) for w in caught])
+
+
+class TestMatchesRowwiseReference:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_ingest_csv(self, text):
+        got = _outcome(lambda: ingest_csv(io.StringIO(text)))
+        want = _outcome(lambda: oracles.csv_rowwise(text))
+        assert got[0] == want[0] and got[2] == want[2]
+        if got[0] == "ok":
+            data, (names, values) = got[1], want[1]
+            assert data.names == names
+            assert data.values.tobytes() == values.tobytes()
+        else:
+            assert got[1] == want[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts(stratify=True))
+    def test_ingest_csv_stratified(self, text):
+        got = _outcome(lambda: ingest_csv_stratified(io.StringIO(text), "s"))
+        want = _outcome(lambda: oracles.csv_rowwise_stratified(text, "s"))
+        assert got[0] == want[0] and got[2] == want[2]
+        if got[0] == "ok":
+            assert [label for label, _ in got[1]] == [label for label, _, _ in want[1]]
+            for (_, data), (_, names, values) in zip(got[1], want[1]):
+                assert data.names == names
+                assert data.values.tobytes() == values.tobytes()
+        else:
+            assert got[1] == want[1]
+
+    def test_categorical_one_level_keeps_float_spelling(self):
+        data = ingest_csv(io.StringIO("v,y\n1,1\nb,2\n1,3\n b ,4\n"))
+        assert data.names == ("v:b", "y")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5,
+               9.999999999999999e-06, 1.0000000000000001e-05, 0.0001, 1e16, -1e16,
+               9999999999999998.0, 1.0000000000000002e16, 1e15, 1.7976931348623157e308]
+
+
+class TestWriterRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=20)))
+    def test_write_then_read_is_bit_exact(self, rows):
+        data = Dataset([f"x{j}" for j in range(len(rows[0]))], np.array(rows))
+        buf = io.StringIO()
+        dataset_to_csv(data, buf)
+        assert buf.getvalue() == oracles.csv_write_rowwise(data.names, data.values)
+        again = ingest_csv(io.StringIO(buf.getvalue()))
+        assert again.names == data.names
+        assert again.values.tobytes() == data.values.tobytes()
+
+    def test_bytes_match_reference_across_write_blocks(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(10_000, 3)) * 10.0 ** rng.integers(-8, 18, size=(10_000, 3))
+        data = Dataset(("a", "b,c", "d"), values)
+        buf = io.StringIO()
+        dataset_to_csv(data, buf)
+        assert buf.getvalue() == oracles.csv_write_rowwise(data.names, data.values)
+        assert ingest_csv(io.StringIO(buf.getvalue())).values.tobytes() == values.tobytes()

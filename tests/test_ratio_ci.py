@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from confound_lens import (Dataset, RatioInterval, STUDY_PRESETS,
                            collinearity_ratio, conservative_ratio_ci,
                            exposure_stats_from_ols, fit_ols, generate,
                            ratio_point_estimate, variance_ci, wald_ci)
+from confound_lens import ratio_ci
+from confound_lens.cli import main
 from confound_lens.errors import DomainError
 from confound_lens.ratio_ci import component_level
 
@@ -166,13 +170,40 @@ class TestRatioPointEstimate:
         assert ratio_point_estimate(data, "a", "x", []) == collinearity_ratio(stats)
 
 
+class TestSingleExposureFit:
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+        real = ratio_ci.fit_ols
+        monkeypatch.setattr(ratio_ci, "fit_ols",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        return calls
+
+    def test_interval_carries_the_point_estimate_of_its_fit(self, monkeypatch):
+        data = _study2_dataset(seed=4)
+        calls = self._count_fits(monkeypatch)
+        interval = conservative_ratio_ci(data, "a", "x", [], 0.95)
+        assert len(calls) == 1
+        assert interval.point_estimate == ratio_point_estimate(data, "a", "x", [])
+
+    def test_cli_fits_the_exposure_model_once_per_stratum(self, monkeypatch, capsys):
+        fixture = str(Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv")
+        calls = self._count_fits(monkeypatch)
+        assert main(["ratio-ci", "--input", fixture, "--exposure", "smoker",
+                     "--proxy", "poverty_index", "--stratify", "sex",
+                     "--format", "json", "--deterministic"]) == 0
+        assert len(calls) == 2
+
+
 class TestRatioIntervalType:
     def test_rejects_unordered_bounds(self):
         with pytest.raises(DomainError):
             RatioInterval(lower=1.0, upper=0.0, level=0.95,
-                          beta_interval=(0.0, 1.0), variance_interval=(0.5, 1.0))
+                          beta_interval=(0.0, 1.0), variance_interval=(0.5, 1.0),
+                          point_estimate=0.5)
 
     def test_rejects_nonpositive_variance_interval(self):
         with pytest.raises(DomainError):
             RatioInterval(lower=0.0, upper=1.0, level=0.95,
-                          beta_interval=(0.0, 1.0), variance_interval=(0.0, 1.0))
+                          beta_interval=(0.0, 1.0), variance_interval=(0.0, 1.0),
+                          point_estimate=0.5)
