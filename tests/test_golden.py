@@ -29,6 +29,9 @@ CLI_DIGESTS = {
     "fit": "7af02655a4fd6a74276bee5b6fa874c65b9af012496a26d630dd00739f11b168",
     "logit-stratified": "d8198702ae7ef71836ab76acc75351429d36c9d24b145adfcdbbabaf46c40fc4",
     "ratio-ci-stratified": "9ed397671e7b70c99952661997d29941d843e6d56f3823168ddc9cdd3bc2e7e4",
+    "simulate-replicates": "cbe3f8e352ef4ec627f25908b6f5bcbbc7b7e91d8e706f708dea373ce489d620",
+    "fit-stratified-vif": "9458db66a1d37deb9852dd5ed826dd0df31bcd2955e775476c47a39bd6f1c0ea",
+    "sensitivity": "fcbc766ef4be850b72d74d6bdbf8d9308d32a74210d1c4eb0fd7bdcf277923ac",
 }
 
 CLI_ARGV = {
@@ -46,6 +49,16 @@ CLI_ARGV = {
                             "--controls", "age,education_grade",
                             "--stratify", "sex", "--format", "json",
                             "--deterministic"),
+    "simulate-replicates": ("simulate", "--preset", "study1", "--n", "1000", "--seed", "7",
+                            "--replicates", "20", "--format", "json",
+                            "--deterministic"),
+    "fit-stratified-vif": ("fit", "--input", FIXTURE, "--outcome", "smoker",
+                           "--exposure", "poverty_index",
+                           "--controls", "age,education_grade",
+                           "--stratify", "sex", "--format", "json", "--deterministic"),
+    "sensitivity": ("sensitivity", "--input", FIXTURE, "--outcome", "smoker",
+                    "--exposure", "poverty_index", "--controls", "age,education_grade",
+                    "--format", "json", "--deterministic"),
 }
 
 
