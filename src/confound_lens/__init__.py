@@ -13,7 +13,7 @@ from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureErro
                      SeparationError)
 from .ingest import ingest_csv, ingest_csv_stratified
 from .logit import LogitFit, c_statistic, fit_logit
-from .ols import OlsFit, fit_ols, residual_variance_of, vif
+from .ols import OlsFit, fit_ols, vif
 from .ratio_ci import (RatioInterval, conservative_ratio_ci, ratio_point_estimate,
                        variance_ci, wald_ci)
 from .sensitivity import (SensitivityReport, TreatmentSummary, partial_r2,
@@ -38,7 +38,7 @@ __all__ = [
     "NoVariationError", "ParseError", "RankDeficientError", "SeparationError",
     "ingest_csv", "ingest_csv_stratified",
     "LogitFit", "c_statistic", "fit_logit",
-    "OlsFit", "fit_ols", "residual_variance_of", "vif",
+    "OlsFit", "fit_ols", "vif",
     "RatioInterval", "conservative_ratio_ci", "ratio_point_estimate",
     "variance_ci", "wald_ci",
     "SensitivityReport", "TreatmentSummary", "partial_r2", "robustness_value",

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage (bad flags, unknown columns, invalid
 parameters), 2 input parsing, 3 numeric problems (rank deficiency, domain
 errors, degenerate ratios), 4 convergence failures (separation, iteration
-limits).
+limits), 5 internal error (any other failure, such as running out of memory).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +31,6 @@ from .sensitivity import TreatmentSummary, sensitivity_report
 from .simulate import (STUDY_PRESETS, DgpSpec, generate, population_bias_decomposition,
                        population_moments, population_ols_bias, replicate_study)
 
-THREADS_ENV = "CONFOUND_LENS_THREADS"
 REPORT_VERSION = 1
 
 
@@ -196,19 +194,6 @@ def _ols_block(fit, vifs=None) -> dict:
     if vifs is not None:
         block["vif"] = vifs
     return block
-
-
-def _workers(replicates: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise _UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return min(cap, replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +382,7 @@ def _handle_simulate(args) -> str:
         raise _UsageError(f"--q must be > 0, got {args.q}")
 
     summary = replicate_study(spec, args.n, args.replicates, args.seed,
-                              q=args.q, alpha=alpha,
-                              workers=_workers(args.replicates))
+                              q=args.q, alpha=alpha)
     moments = population_moments(spec)
     population = {
         "beta_true": spec.beta,
@@ -579,6 +563,17 @@ def _write_output(text: str, output: str) -> None:
             fh.write(text)
 
 
+# First match wins; any other Exception is an internal error.
+_EXIT_CODES = (
+    ((_UsageError, KeyError, OSError), 1),
+    ((ParseError, EmptyAfterFilteringError), 2),
+    ((DomainError, RankDeficientError, InsufficientRowsError,
+      DegenerateExposureError, NoVariationError), 3),
+    ((SeparationError, ConvergenceError), 4),
+)
+INTERNAL_ERROR = 5
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -586,25 +581,15 @@ def main(argv=None) -> int:
         text = args.handler(args)
         _write_output(text, args.output)
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, EmptyAfterFilteringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, RankDeficientError, InsufficientRowsError,
-            DegenerateExposureError, NoVariationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SeparationError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for classes, code in _EXIT_CODES:
+            if isinstance(exc, classes):
+                message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+                break
+        else:
+            code, message = INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def script() -> None:

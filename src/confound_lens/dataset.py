@@ -61,6 +61,3 @@ class Dataset:
         """Column-stack of the requested columns, in the requested order."""
         return np.column_stack([self.column(n) for n in names]) if names else \
             np.empty((self.n, 0))
-
-    def subset(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.names, self.values[np.asarray(mask)])

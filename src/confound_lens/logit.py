@@ -10,13 +10,12 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (DomainError, InsufficientRowsError, NoVariationError,
                      SeparationError)
-from .ols import _check_rank, _design
+from .ols import RANK_TOL, _check_design_rank, _design
 
 MAX_ITERATIONS = 50
 GRADIENT_TOL = 1e-8
-# |coefficient| beyond this while iterating is read as quasi-complete
-# separation: the MLE is off at infinity.
-SEPARATION_LIMIT = 15.0
+# |linear predictor| beyond this puts a fitted probability within e**-10 of 0/1
+SATURATION_ETA = 10.0
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,31 @@ def _check_binary(y: np.ndarray, what: str) -> None:
         raise NoVariationError(f"{what} contains a single class")
 
 
+def _separated(X: np.ndarray, eta: np.ndarray) -> bool:
+    """True when the unsaturated rows no longer pin every coefficient.
+
+    Separation runs IRLS off along a direction that is zero on the rows it
+    cannot separate; at a finite MLE the unsaturated rows determine the fit,
+    however far one saturated row lies.  The rank test reads an orthonormal
+    basis of X's columns, so covariate units do not enter it.
+    """
+    unsaturated = np.abs(eta) <= SATURATION_ETA
+    if unsaturated.all():
+        return False
+    basis = np.linalg.qr(X)[0][unsaturated]
+    if basis.shape[0] < basis.shape[1]:
+        return True
+    svals = np.linalg.svd(np.linalg.qr(basis, mode="r"), compute_uv=False)
+    return bool(svals[-1] <= RANK_TOL * svals[0])
+
+
 def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...],
               include_intercept: bool = True) -> LogitFit:
     """Maximum-likelihood logistic fit with step-halving IRLS.
 
     Standard errors come from the inverse observed information at the
-    optimum.  Raises SeparationError when coefficients run away, which is the
-    IRLS signature of quasi-complete separation.
+    optimum.  Raises SeparationError once the unsaturated rows stop
+    determining the coefficients (see _separated).
     """
     y = data.column(outcome)
     _check_binary(y, f"outcome {outcome!r}")
@@ -74,7 +91,7 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     n, p = X.shape
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
-    _check_rank(X)
+    _check_design_rank(X)
 
     beta = np.zeros(p)
     eta = X @ beta
@@ -112,11 +129,11 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
                 break
             step *= 0.5
         beta, eta, ll = candidate, cand_eta, cand_ll
-        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
+        if _separated(X, eta):
             raise SeparationError(
-                f"|coefficient| exceeded {SEPARATION_LIMIT:g} during iteration "
-                f"{iterations}; data look quasi-completely separated"
-            )
+                f"iteration {iterations}: the rows with fitted probabilities not "
+                f"numerically 0 or 1 no longer determine the coefficients; data "
+                f"look quasi-completely separated")
     else:
         mu = _sigmoid(eta)
         grad = X.T @ (y - mu)

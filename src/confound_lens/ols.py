@@ -70,13 +70,46 @@ def _design(data: Dataset, regressors: list[str] | tuple[str, ...],
     return X, names
 
 
-def _check_rank(X: np.ndarray) -> None:
-    svals = np.linalg.svd(X, compute_uv=False)
+def _check_rank(R: np.ndarray) -> None:
+    """Raise RankDeficientError for a collinear design, given its R factor.
+
+    R has the singular values of the design itself, at p x p rather than
+    n x p cost.
+    """
+    svals = np.linalg.svd(R, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] / svals[0] < RANK_TOL:
         raise RankDeficientError(
             f"design is numerically rank deficient (singular value ratio "
             f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.2e} < {RANK_TOL:g})"
         )
+
+
+def _check_design_rank(X: np.ndarray) -> None:
+    _check_rank(np.linalg.qr(X, mode="r"))
+
+
+def _least_squares(X: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """QR solve of y on X: coefficients, residuals, RSS and the R factor.
+
+    Every least-squares fit in the package goes through here.
+    """
+    n, p = X.shape
+    if p == 0:
+        raise DomainError("at least one regressor or an intercept is required")
+    if n - p < 1:
+        raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
+    Q, R = np.linalg.qr(X)
+    _check_rank(R)
+    beta = np.linalg.solve(R, Q.T @ y)
+    residuals = y - X @ beta
+    return beta, residuals, float(residuals @ residuals), R
+
+
+def _r_squared(y: np.ndarray, rss: float, include_intercept: bool) -> float:
+    """Centered R^2 with an intercept, against the zero model without."""
+    tss = float(np.sum((y - y.mean()) ** 2)) if include_intercept else float(y @ y)
+    return 0.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
 
 def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...],
@@ -89,18 +122,8 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     """
     y = data.column(outcome)
     X, names = _design(data, regressors, include_intercept)
+    beta, residuals, rss, R = _least_squares(X, y)
     n, p = X.shape
-    if p == 0:
-        raise DomainError("at least one regressor or an intercept is required")
-    if n - p < 1:
-        raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
-    _check_rank(X)
-
-    Q, R = np.linalg.qr(X)
-    beta = np.linalg.solve(R, Q.T @ y)
-    fitted = X @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
     df_residual = n - p
     residual_variance = rss / df_residual
 
@@ -114,12 +137,6 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     t_values = np.where((standard_errors == 0.0) & (beta == 0.0), 0.0, t_values)
     p_values = np.array([2.0 * (1.0 - t_cdf(abs(t), df_residual)) for t in t_values])
 
-    if include_intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
-    r_squared = 0.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
-
     return OlsFit(
         outcome=outcome,
         names=names,
@@ -127,18 +144,13 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         standard_errors=standard_errors,
         t_values=t_values,
         p_values=p_values,
-        r_squared=r_squared,
+        r_squared=_r_squared(y, rss, include_intercept),
         residual_variance=residual_variance,
         df_residual=df_residual,
         residuals=residuals,
         n=n,
         include_intercept=include_intercept,
     )
-
-
-def residual_variance_of(fit: OlsFit) -> float:
-    """RSS / (n - p), the denominator convention used throughout."""
-    return fit.residual_variance
 
 
 def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
@@ -151,11 +163,11 @@ def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
     if len(regressors) < 2:
         raise DomainError("vif needs at least two regressors")
     X, _ = _design(data, regressors, include_intercept=True)
-    _check_rank(X)
+    _check_design_rank(X)
     out = []
-    for j, name in enumerate(regressors):
-        others = regressors[:j] + regressors[j + 1:]
-        aux = fit_ols(data, name, others, include_intercept=True)
-        slack = 1.0 - aux.r_squared
+    for j in range(1, X.shape[1]):
+        y = X[:, j]
+        _, _, rss, _ = _least_squares(np.delete(X, j, 1), y)
+        slack = 1.0 - _r_squared(y, rss, include_intercept=True)
         out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
     return out

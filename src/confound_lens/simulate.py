@@ -18,7 +18,6 @@ of a study uses the derived integer seed derive_replicate_seed(base, r).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 
@@ -228,30 +227,18 @@ def _one_replicate(spec: DgpSpec, n: int, seed: int, q: float, alpha: float):
 
 
 def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
-                    q: float = 1.0, alpha: float = 0.05,
-                    workers: int | None = None) -> ReplicateSummary:
+                    q: float = 1.0, alpha: float = 0.05) -> ReplicateSummary:
     """Repeatedly draw, fit Y ~ A, X, and summarize.
 
-    Replicate r is seeded with derive_replicate_seed(seed, r), so results do
-    not depend on worker count or completion order, and extending the number
-    of replicates leaves earlier ones unchanged.
+    Replicate r is seeded with derive_replicate_seed(seed, r), so extending
+    the number of replicates leaves earlier ones unchanged.
     """
     if not isinstance(replicates, Integral) or replicates < 1:
         raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
     seed = _check_seed(seed)
     replicates = int(replicates)
-    seeds = [derive_replicate_seed(seed, r) for r in range(replicates)]
-
-    results: list = [None] * replicates
-    if workers is not None and workers > 1 and replicates > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            futures = {pool.submit(_one_replicate, spec, n, s, q, alpha): r
-                       for r, s in enumerate(seeds)}
-            for fut, r in futures.items():
-                results[r] = fut.result()
-    else:
-        for r, s in enumerate(seeds):
-            results[r] = _one_replicate(spec, n, s, q, alpha)
+    results = [_one_replicate(spec, n, derive_replicate_seed(seed, r), q, alpha)
+               for r in range(replicates)]
 
     cols = np.array(results, dtype=np.float64)  # (replicates, 5), index order
     beta_hats = cols[:, 0].copy()

@@ -6,7 +6,9 @@ densities, quantiles are bisections on those integrals, least squares is
 solved by raw normal equations, the logistic oracle runs Newton steps
 with finite-difference derivatives of the explicit log-likelihood, and the
 CSV reference reads and writes row by row, one cell at a time (the package's
-former ingest, without its later BOM and row-number fixes).
+former ingest, without its later BOM and row-number fixes).  The VIF
+reference is the package's former `vif`: an SVD rank check of the design,
+then one complete least-squares refit per regressor.
 """
 
 from __future__ import annotations
@@ -265,3 +267,48 @@ def csv_write_rowwise(names, values: np.ndarray) -> str:
     for row in values:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# nested-refit VIF reference
+# ---------------------------------------------------------------------------
+
+class VifOracleError(Exception):
+    """`kind` is "rank" (collinear design) or "rows" (no residual df)."""
+
+    def __init__(self, kind: str):
+        super().__init__(kind)
+        self.kind = kind
+
+
+def _svd_rank_check(X: np.ndarray) -> None:
+    svals = np.linalg.svd(X, compute_uv=False)
+    if svals[0] == 0.0 or svals[-1] / svals[0] < 1e-10:
+        raise VifOracleError("rank")
+
+
+def _intercept_fit_r_squared(X: np.ndarray, y: np.ndarray) -> float:
+    n, p = X.shape
+    if n - p < 1:
+        raise VifOracleError("rows")
+    _svd_rank_check(X)
+    Q, R = np.linalg.qr(X)
+    beta = np.linalg.solve(R, Q.T @ y)
+    fitted = X @ beta
+    residuals = y - fitted
+    rss = float(residuals @ residuals)
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return 0.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+
+
+def vif_nested(values: np.ndarray) -> list[float]:
+    """VIF of each column of the (n, k) array `values`, k >= 2."""
+    n, k = values.shape
+    _svd_rank_check(np.column_stack([np.ones(n), values]))
+    out = []
+    for j in range(k):
+        others = np.column_stack([values[:, i] for i in range(k) if i != j])
+        r2 = _intercept_fit_r_squared(np.column_stack([np.ones(n), others]), values[:, j])
+        slack = 1.0 - r2
+        out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
+    return out

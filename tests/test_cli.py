@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from confound_lens import robustness_value, TreatmentSummary
+from confound_lens import cli, robustness_value, TreatmentSummary
 from confound_lens.cli import main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv")
@@ -123,22 +123,6 @@ class TestSimulate:
         assert decomp["bias"] == pytest.approx(
             decomp["factor_gamma"] * decomp["factor_proxy_noise"]
             * decomp["factor_collinearity"], abs=0)
-
-    def test_threads_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFOUND_LENS_THREADS", "3")
-        r1 = run_json(capsys, "simulate", "--preset", "study2", "--n", "200",
-                      "--seed", "4", "--replicates", "6", "--deterministic")
-        monkeypatch.delenv("CONFOUND_LENS_THREADS")
-        r2 = run_json(capsys, "simulate", "--preset", "study2", "--n", "200",
-                      "--seed", "4", "--replicates", "6", "--deterministic")
-        assert r1 == r2
-
-    def test_threads_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFOUND_LENS_THREADS", "zero")
-        code, _, err = run_cli(capsys, "simulate", "--preset", "study2",
-                               "--n", "100", "--seed", "1", "--replicates", "2")
-        assert code == 1
-        assert "CONFOUND_LENS_THREADS" in err
 
 
 class TestPipeline:
@@ -316,3 +300,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "logit", "--input", str(path),
                              "--outcome", "y", "--controls", "x")
         assert code == 4
+
+    def test_unexpected_failure_exit_5_without_traceback(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 PiB")
+
+        monkeypatch.setattr(cli, "generate", out_of_memory)
+        code, out, err = run_cli(capsys, "simulate", "--preset", "study1",
+                                 "--n", "1000000000000000")
+        assert code == 5
+        assert out == ""
+        assert err == "error: MemoryError: Unable to allocate 29.1 PiB\n"

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from confound_lens import (Dataset, NoVariationError, SeparationError,
-                           c_statistic, fit_logit)
+                           c_statistic, fit_logit, ingest_csv)
 from confound_lens.errors import DomainError
 from confound_lens.logit import _sigmoid
 
 import oracles
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv"
 
 
 def _data(**cols):
@@ -25,6 +30,57 @@ class TestFitLogit:
                      y=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         with pytest.raises(SeparationError):
             fit_logit(data, "y", ["x"])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_perfect_separation_raises_in_any_units(self, scale):
+        x = scale * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        data = _data(x=x, y=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(SeparationError):
+            fit_logit(data, "y", ["x"])
+
+    def test_quasi_separation_by_rare_indicator_raises(self):
+        # the 5 flagged rows are all ones: the indicator's MLE is +infinity
+        # while its coefficient and every linear predictor stay near 20 when
+        # the score falls under the tolerance
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=1000)
+        flag = np.zeros(1000)
+        flag[:5] = 1.0
+        y = (rng.random(1000) < 0.3).astype(float)
+        y[:5] = 1.0
+        with pytest.raises(SeparationError):
+            fit_logit(_data(x=x, flag=flag, y=y), "y", ["x", "flag"])
+
+    @pytest.mark.parametrize("far", [100.0, 1e4])
+    def test_far_covariate_value_on_predicted_side_converges(self, far):
+        # one row far out where the model already predicts y = 1 has a linear
+        # predictor near far - 5 at a finite MLE pinned by the other rows
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 10.0, 1000)
+        y = (rng.random(1000) < _sigmoid(x - 5.0)).astype(float)
+        bulk = fit_logit(_data(x=x, y=y), "y", ["x"])
+        fit = fit_logit(_data(x=np.append(x, far), y=np.append(y, 1.0)), "y", ["x"])
+        assert fit.converged
+        np.testing.assert_allclose(fit.coefficients, bulk.coefficients, rtol=1e-3)
+
+    def test_rescaled_covariate_converges_with_rescaled_coefficient(self):
+        # age / 2000 makes the age coefficient about -29: a bound on |beta|
+        # would read that as separation, though the fitted probabilities are
+        # those of the unscaled fit
+        data = ingest_csv(FIXTURE)
+        values = data.values.copy()
+        values[:, data.names.index("age")] /= 2000.0
+        fit = fit_logit(data, "smoker", ["age", "poverty_index"])
+        rescaled = fit_logit(Dataset(data.names, values), "smoker",
+                             ["age", "poverty_index"])
+        assert fit.converged and rescaled.converged
+        assert rescaled.iterations == fit.iterations
+        assert rescaled.coefficient("age") == pytest.approx(
+            2000.0 * fit.coefficient("age"), rel=1e-9)
+        assert rescaled.coefficient("poverty_index") == pytest.approx(
+            fit.coefficient("poverty_index"), rel=1e-9)
+        np.testing.assert_allclose(rescaled.fitted_probabilities,
+                                   fit.fitted_probabilities, rtol=1e-9)
 
     def test_single_class_outcome(self):
         data = _data(x=[1.0, 2.0, 3.0], y=[1.0, 1.0, 1.0])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confound_lens import (Dataset, InsufficientRowsError, RankDeficientError,
-                           STUDY_PRESETS, fit_ols, generate, residual_variance_of,
-                           vif)
+                           STUDY_PRESETS, fit_ols, generate, vif)
 from confound_lens.errors import DomainError
 
 import oracles
@@ -30,7 +31,7 @@ class TestFitOls:
     def test_intercept_only_residual_variance_is_sample_variance(self):
         data = _data(y=[1.0, 2.0, 3.0])
         fit = fit_ols(data, "y", [], include_intercept=True)
-        assert residual_variance_of(fit) == pytest.approx(1.0, abs=1e-14)
+        assert fit.residual_variance == pytest.approx(1.0, abs=1e-14)
 
     def test_duplicated_regressor_is_rank_deficient(self):
         data = _data(y=[1.0, 2.0, 3.0, 4.0], x1=[1.0, 2.0, 3.0, 4.5],
@@ -163,6 +164,53 @@ class TestVif:
             vif(data, ["x1", "x2"])
 
 
+@st.composite
+def vif_designs(draw):
+    """(n, k) regressor arrays: plain, near-collinear or with an indicator,
+    columns on scales from 1e-6 to 1e6, and n down to 1 row."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.integers(1, k + 2), st.integers(k + 3, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(n, k))
+    kind = draw(st.sampled_from(["plain", "near-collinear", "indicator"]))
+    if kind == "near-collinear":
+        noise = 10.0 ** draw(st.integers(-14, -2))
+        values[:, -1] = values[:, :-1] @ rng.normal(size=k - 1) + noise * rng.normal(size=n)
+    elif kind == "indicator":
+        values[:, 0] = rng.random(n) < 0.5
+    exponents = draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+    return values * 10.0 ** np.array(exponents, dtype=np.float64)
+
+
+def _vif_outcome(fn):
+    """The VIFs' bytes, or the kind of error raised."""
+    try:
+        return np.array(fn()).tobytes()
+    except oracles.VifOracleError as exc:
+        return exc.kind
+    except RankDeficientError:
+        return "rank"
+    except InsufficientRowsError:
+        return "rows"
+
+
+class TestVifMatchesNestedRefits:
+    @settings(max_examples=400, deadline=None)
+    @given(vif_designs())
+    def test_bit_identical_or_same_error(self, values):
+        names = [f"x{j}" for j in range(values.shape[1])]
+        data = Dataset(tuple(names), values)
+        assert _vif_outcome(lambda: vif(data, names)) == \
+            _vif_outcome(lambda: oracles.vif_nested(data.values))
+
+    def test_as_many_rows_as_regressors(self):
+        data = _data(x1=[1.0, 2.0, 4.0], x2=[3.0, 1.0, 0.5], x3=[0.2, 0.9, 0.1])
+        with pytest.raises(InsufficientRowsError):
+            vif(data, ["x1", "x2", "x3"])
+        with pytest.raises(oracles.VifOracleError, match="rows"):
+            oracles.vif_nested(data.values)
+
+
 class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -181,8 +229,3 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.values[0, 0] = 5.0
 
-    def test_subset(self):
-        data = _data(x=[1.0, 2.0, 3.0], y=[4.0, 5.0, 6.0])
-        sub = data.subset(np.array([True, False, True]))
-        assert sub.n == 2
-        assert sub.column("y").tolist() == [4.0, 6.0]

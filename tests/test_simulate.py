@@ -165,13 +165,6 @@ class TestReplicateStudy:
         long = replicate_study(spec, 200, 10, seed=11)
         np.testing.assert_array_equal(short.beta_hats, long.beta_hats[:5])
 
-    def test_worker_count_does_not_change_results(self):
-        spec = STUDY_PRESETS["study2"]
-        serial = replicate_study(spec, 200, 8, seed=3, workers=None)
-        threaded = replicate_study(spec, 200, 8, seed=3, workers=4)
-        np.testing.assert_array_equal(serial.beta_hats, threaded.beta_hats)
-        assert serial.mean_rv_q == threaded.mean_rv_q
-
     def test_mean_lands_near_population_value(self):
         spec = STUDY_PRESETS["study1"]
         pop = spec.beta + population_ols_bias(spec)
