@@ -8,6 +8,7 @@ so and record new digests.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,14 @@ CLI_DIGESTS = {
     "simulate-replicates": "cbe3f8e352ef4ec627f25908b6f5bcbbc7b7e91d8e706f708dea373ce489d620",
     "fit-stratified-vif": "9458db66a1d37deb9852dd5ed826dd0df31bcd2955e775476c47a39bd6f1c0ea",
     "sensitivity": "fcbc766ef4be850b72d74d6bdbf8d9308d32a74210d1c4eb0fd7bdcf277923ac",
+    "fit-stratified-text": "8161a2e614180bc45252cf8f98417694257e7732bd26cdecedd9487d9148959a",
+    "logit-stratified-text": "89ea9c41b2ee5257a1663ec3a46a339fe360ffdb5d0dff6f6e932bdb8e99c773",
+    "sensitivity-text": "14a166fe27e4695005cb4031d80c3cb1352931fea44fe08f9f490a38a1a171fd",
+    "sensitivity-summary-text": "447515cac030b7a2162ff31662a31d53e03eb9857d536a3c9af84b8ccf9351eb",
+    "sensitivity-summary": "89dbe94843b84057866eaee9919f9facc16a1d6578cc41ac803f83089f44f594",
+    "ratio-ci-stratified-text": "2882e01f14c4c8d990c9def9065e05a91315fb4f2d12e14d02b61e2f71bde33e",
+    "bias-grid": "afc975644c89fbee6eb772cadb138b5ca3ef88bd04cce021da47e1e45e0df8c8",
+    "simulate-replicates-text": "12579705544c1ebc925907ba11821c23ae75b6824218942ddfebd3e6dd6973b7",
 }
 
 CLI_ARGV = {
@@ -59,7 +68,37 @@ CLI_ARGV = {
     "sensitivity": ("sensitivity", "--input", FIXTURE, "--outcome", "smoker",
                     "--exposure", "poverty_index", "--controls", "age,education_grade",
                     "--format", "json", "--deterministic"),
+    "fit-stratified-text": ("fit", "--input", FIXTURE, "--outcome", "smoker",
+                            "--exposure", "poverty_index",
+                            "--controls", "age,education_grade", "--stratify", "sex"),
+    "logit-stratified-text": ("logit", "--input", FIXTURE, "--outcome", "smoker",
+                              "--controls", "age,race:Black,race:Other,"
+                                            "education_grade,poverty_index",
+                              "--stratify", "sex"),
+    "sensitivity-text": ("sensitivity", "--input", FIXTURE, "--outcome", "smoker",
+                         "--exposure", "poverty_index",
+                         "--controls", "age,education_grade",
+                         "--q", "0.5", "--alpha", "0.1"),
+    "sensitivity-summary-text": ("sensitivity", "--t", "2.5", "--df", "40",
+                                 "--estimate", "1.25", "--se", "0.5"),
+    "sensitivity-summary": ("sensitivity", "--t", "2.5", "--df", "40",
+                            "--estimate", "1.25", "--se", "0.5",
+                            "--format", "json", "--deterministic"),
+    "ratio-ci-stratified-text": ("ratio-ci", "--input", FIXTURE, "--exposure", "smoker",
+                                 "--proxy", "poverty_index",
+                                 "--controls", "age,education_grade",
+                                 "--level", "0.9", "--stratify", "sex"),
+    "bias-grid": ("bias-grid", "--input", FIXTURE, "--exposure", "smoker",
+                  "--proxy", "poverty_index", "--controls", "age,education_grade",
+                  "--gamma-grid", "0:2:5", "--eps-grid", "0,0.25,1"),
+    "simulate-replicates-text": ("simulate", "--preset", "study1", "--n", "1000",
+                                 "--seed", "7", "--replicates", "8"),
 }
+
+# a_on_eps_x != 0, so the report carries no bias_decomposition block
+SPEC = {"beta": 1.0, "gamma": 0.5, "theta_x": 0.0, "a_on_u": 1.0, "a_noise_sd": 0.5,
+        "x_noise_sd": 0.5, "y_noise_sd": 1.0, "a_on_eps_x": 0.2}
+SPEC_REPLICATES_DIGEST = "a895f9ce6f85087010de76dc5d8907d6c8b3f2ebbbe2ecad1a4f0daafe6b851d"
 
 
 def _sha256(data: bytes) -> str:
@@ -78,3 +117,15 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main([*CLI_ARGV[name], "--output", str(out)]) == 0
     assert _sha256(out.read_bytes()) == CLI_DIGESTS[name]
+
+
+def test_simulate_replicates_from_spec_file_is_pinned(tmp_path, monkeypatch):
+    # a relative spec path, so the echoed preset does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    Path("model.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    assert main(["simulate", "--preset", "model.json", "--n", "500", "--seed", "3",
+                 "--replicates", "6", "--format", "json", "--deterministic",
+                 "--output", "out"]) == 0
+    report = json.loads(Path("out").read_text(encoding="utf-8"))
+    assert "bias_decomposition" not in report["strata"][0]["population"]
+    assert _sha256(Path("out").read_bytes()) == SPEC_REPLICATES_DIGEST
