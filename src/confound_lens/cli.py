@@ -1,5 +1,12 @@
 """Command-line front end: CSV in, JSON or text reports out.
 
+Each flag's value is checked by its argparse `type=` where it is declared, so
+a bad value is a usage error before any input is read; handlers check only
+rules that join several flags.  Every JSON report is built by `_report`,
+whose `config` echoes the parsed flags, and text is rendered from one table
+of report sections (`_TEXT_SECTIONS`).  Handlers look library functions up
+as module globals at call time, so they can be patched from outside.
+
 Exit codes: 0 success, 1 usage (bad flags, unknown columns, invalid
 parameters), 2 input parsing, 3 numeric problems (rank deficiency, domain
 errors, degenerate ratios), 4 convergence failures (separation, iteration
@@ -11,7 +18,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,7 +74,29 @@ def _grid(text: str) -> list[float]:
             raise ValueError
         return values
     except ValueError:
-        raise _UsageError(f"cannot parse grid {text!r}; use 'a,b,c' or 'lo:hi:count'")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse grid {text!r}; use 'a,b,c' or 'lo:hi:count'") from None
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse `type=` that converts a flag's text and rejects values
+    failing `ok`, so argparse reports "argument --flag: <rule>, got <text>"."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly in (0, 1)")
+_FINITE_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                       "must be finite and > 0")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be >= 0")
+_NONNEGATIVE_GRID = _checked(_grid, lambda vs: all(v >= 0.0 for v in vs),
+                             "values must all be >= 0")
 
 
 def _build_parser() -> _Parser:
@@ -105,8 +136,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--df", type=int, help="residual df (summary mode)")
     p.add_argument("--estimate", type=float)
     p.add_argument("--se", type=float)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--q", type=_FINITE_POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, default=0.05)
     p.set_defaults(handler=_handle_sensitivity)
 
     p = sub.add_parser("bias-grid", parents=[out, data],
@@ -114,15 +145,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--exposure", required=True)
     p.add_argument("--proxy", required=True)
     p.add_argument("--gamma-grid", type=_grid, default=[0.0, 0.5, 1.0, 1.5, 2.0])
-    p.add_argument("--eps-grid", type=_grid, default=[0.0, 0.25, 0.5, 0.75, 1.0],
-                   help="grid of Var(eps_X) values")
+    p.add_argument("--eps-grid", type=_NONNEGATIVE_GRID,
+                   default=[0.0, 0.25, 0.5, 0.75, 1.0], help="grid of Var(eps_X) values")
     p.set_defaults(handler=_handle_bias_grid)
 
     p = sub.add_parser("ratio-ci", parents=[out, data],
                        help="conservative CI for coefficient / residual variance")
     p.add_argument("--exposure", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_UNIT_INTERVAL, default=0.95)
     p.set_defaults(handler=_handle_ratio_ci)
 
     p = sub.add_parser("simulate", parents=[out],
@@ -130,11 +161,11 @@ def _build_parser() -> _Parser:
                             "replicate report with --replicates")
     p.add_argument("--preset", required=True,
                    help="study1, study2, or a path to a JSON model spec")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--n", type=_AT_LEAST_1, default=1000)
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
+    p.add_argument("--replicates", type=_AT_LEAST_1)
+    p.add_argument("--q", type=_FINITE_POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, default=0.05)
     p.set_defaults(handler=_handle_simulate)
 
     return parser
@@ -154,23 +185,35 @@ def _load_strata(args) -> list[tuple[str | None, Dataset]]:
 
 
 def _regressors(args) -> list[str]:
-    names = ([args.exposure] if getattr(args, "exposure", None) else []) + args.controls
+    names = ([args.exposure] if args.exposure else []) + args.controls
     if not names:
         raise _UsageError("no regressors: pass --exposure and/or --controls")
     return names
 
 
-def _check_unit_interval(value: float, flag: str) -> float:
-    if not 0.0 < value < 1.0:
-        raise _UsageError(f"{flag} must lie strictly in (0, 1), got {value}")
-    return value
+# parsed attributes left out of a report's config: the subcommand, its
+# handler, and the flags that shape only how the report is written
+_NOT_CONFIG = ("command", "handler", "format", "output", "deterministic")
 
 
-def _base_report(command: str, config: dict, deterministic: bool) -> dict:
-    report = {"report_version": REPORT_VERSION, "command": command, "config": config}
-    if not deterministic:
+def _report(args, strata, **extra_config) -> str:
+    """The report of (stratum label, block) pairs as JSON or text; its
+    config echoes every parsed flag that shapes the analysis."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    report = {"report_version": REPORT_VERSION, "command": args.command,
+              "config": {**config, **extra_config}}
+    if not args.deterministic:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return report
+    report["strata"] = [{"stratum": label, **block} for label, block in strata]
+    if args.format == "json":
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _render_text(report)
+
+
+def _coefficient_rows(fit, **columns) -> list[dict]:
+    """One {"term": name, column: value, ...} row per coefficient of `fit`."""
+    return [{"term": name, **{key: float(values[i]) for key, values in columns.items()}}
+            for i, name in enumerate(fit.names)]
 
 
 def _ols_block(fit, vifs=None) -> dict:
@@ -180,16 +223,9 @@ def _ols_block(fit, vifs=None) -> dict:
         "df_residual": int(fit.df_residual),
         "r_squared": float(fit.r_squared),
         "residual_variance": float(fit.residual_variance),
-        "coefficients": [
-            {
-                "term": name,
-                "estimate": float(fit.coefficients[i]),
-                "std_error": float(fit.standard_errors[i]),
-                "t_value": float(fit.t_values[i]),
-                "p_value": float(fit.p_values[i]),
-            }
-            for i, name in enumerate(fit.names)
-        ],
+        "coefficients": _coefficient_rows(fit, estimate=fit.coefficients,
+                                          std_error=fit.standard_errors,
+                                          t_value=fit.t_values, p_value=fit.p_values),
     }
     if vifs is not None:
         block["vif"] = vifs
@@ -202,144 +238,87 @@ def _ols_block(fit, vifs=None) -> dict:
 
 def _handle_fit(args) -> str:
     regressors = _regressors(args)
-    report = _base_report("fit", {
-        "input": args.input, "outcome": args.outcome, "exposure": args.exposure,
-        "controls": args.controls, "stratify": args.stratify,
-    }, args.deterministic)
-    report["strata"] = []
+    strata = []
     for label, data in _load_strata(args):
         fit = fit_ols(data, args.outcome, regressors, include_intercept=True)
         vifs = None
         if len(regressors) >= 2:
             vifs = {name: float(v) for name, v in zip(regressors, vif(data, regressors))}
-        report["strata"].append({"stratum": label, "ols": _ols_block(fit, vifs)})
-    return _render(report, args)
+        strata.append((label, {"ols": _ols_block(fit, vifs)}))
+    return _report(args, strata)
 
 
 def _handle_logit(args) -> str:
     regressors = _regressors(args)
-    report = _base_report("logit", {
-        "input": args.input, "outcome": args.outcome, "exposure": args.exposure,
-        "controls": args.controls, "stratify": args.stratify,
-    }, args.deterministic)
-    report["strata"] = []
+    strata = []
     for label, data in _load_strata(args):
         fit = fit_logit(data, args.outcome, regressors, include_intercept=True)
         if not fit.converged:
             raise ConvergenceError(
                 f"logistic fit did not converge in {fit.iterations} iterations"
             )
-        block = {
+        strata.append((label, {"logit": {
             "outcome": fit.outcome,
             "n": int(fit.n),
             "converged": fit.converged,
             "iterations": int(fit.iterations),
             "log_likelihood": float(fit.log_likelihood),
             "c_statistic_in_sample": float(c_statistic(fit, data.column(args.outcome))),
-            "coefficients": [
-                {"term": name,
-                 "estimate": float(fit.coefficients[i]),
-                 "std_error": float(fit.standard_errors[i])}
-                for i, name in enumerate(fit.names)
-            ],
-        }
-        report["strata"].append({"stratum": label, "logit": block})
-    return _render(report, args)
-
-
-def _sensitivity_block(ts: TreatmentSummary, q: float, alpha: float) -> dict:
-    stats = sensitivity_report(ts, q, alpha)
-    treatment = {"t_value": float(ts.t_value), "df": int(ts.df)}
-    if ts.estimate is not None:
-        treatment["estimate"] = float(ts.estimate)
-    if ts.std_error is not None:
-        treatment["std_error"] = float(ts.std_error)
-    return {
-        "treatment": treatment,
-        "sensitivity": {
-            "q": float(stats.q),
-            "alpha": float(stats.alpha),
-            "partial_r2": float(stats.partial_r2),
-            "rv_q": float(stats.rv_q),
-            "rv_q_alpha": float(stats.rv_q_alpha),
-        },
-    }
+            "coefficients": _coefficient_rows(fit, estimate=fit.coefficients,
+                                              std_error=fit.standard_errors),
+        }}))
+    return _report(args, strata)
 
 
 def _handle_sensitivity(args) -> str:
-    q = args.q
-    alpha = _check_unit_interval(args.alpha, "--alpha")
-    if q <= 0:
-        raise _UsageError(f"--q must be > 0, got {q}")
-    summary_mode = args.t is not None or args.df is not None
-    config = {"input": args.input, "outcome": args.outcome, "exposure": args.exposure,
-              "controls": args.controls, "stratify": args.stratify,
-              "t": args.t, "df": args.df, "estimate": args.estimate, "se": args.se,
-              "q": q, "alpha": alpha}
-    report = _base_report("sensitivity", config, args.deterministic)
-    report["strata"] = []
-
-    if summary_mode:
+    if args.t is not None or args.df is not None:
         if args.t is None or args.df is None:
             raise _UsageError("summary mode needs both --t and --df")
-        ts = TreatmentSummary(t_value=args.t, df=args.df,
-                              estimate=args.estimate, std_error=args.se)
-        report["strata"].append({"stratum": None, **_sensitivity_block(ts, q, alpha)})
+        treatments = [(None, {}, TreatmentSummary(t_value=args.t, df=args.df,
+                                                  estimate=args.estimate,
+                                                  std_error=args.se))]
     else:
         if not args.outcome or not args.exposure:
             raise _UsageError("data mode needs --outcome and --exposure "
                               "(or use --t/--df)")
+        treatments = []
         for label, data in _load_strata(args):
             fit = fit_ols(data, args.outcome, [args.exposure] + args.controls,
                           include_intercept=True)
-            ts = TreatmentSummary.from_ols(fit, args.exposure)
-            block = {"stratum": label, "ols": _ols_block(fit),
-                     **_sensitivity_block(ts, q, alpha)}
-            report["strata"].append(block)
-    return _render(report, args)
+            treatments.append((label, {"ols": _ols_block(fit)},
+                               TreatmentSummary.from_ols(fit, args.exposure)))
+    return _report(args, [
+        (label, {**block,
+                 "treatment": {k: v for k, v in asdict(ts).items() if v is not None},
+                 "sensitivity": asdict(sensitivity_report(ts, args.q, args.alpha))})
+        for label, block, ts in treatments
+    ])
 
 
 def _handle_bias_grid(args) -> str:
-    strata = _load_strata(args)
-    if len(strata) != 1:
+    if args.stratify:
         raise _UsageError("bias-grid does not support --stratify")
-    data = strata[0][1]
+    [(_, data)] = _load_strata(args)
     fit = fit_ols(data, args.exposure, [args.proxy] + args.controls,
                   include_intercept=True)
     ratio = collinearity_ratio(exposure_stats_from_ols(fit, args.proxy))
     lines = ["gamma,var_eps_x,bias"]
-    for g in args.gamma_grid:
-        for v in args.eps_grid:
-            if v < 0:
-                raise _UsageError(f"--eps-grid values must be >= 0, got {v}")
-            lines.append(f"{g!r},{v!r},{g * v * ratio!r}")
+    lines += [f"{g!r},{v!r},{g * v * ratio!r}"
+              for g in args.gamma_grid for v in args.eps_grid]
     return "\n".join(lines) + "\n"
 
 
 def _handle_ratio_ci(args) -> str:
-    level = _check_unit_interval(args.level, "--level")
-    report = _base_report("ratio-ci", {
-        "input": args.input, "exposure": args.exposure, "proxy": args.proxy,
-        "controls": args.controls, "stratify": args.stratify, "level": level,
-    }, args.deterministic)
-    report["strata"] = []
+    strata = []
     for label, data in _load_strata(args):
         interval = conservative_ratio_ci(data, args.exposure, args.proxy,
-                                         args.controls, level)
-        report["strata"].append({
-            "stratum": label,
-            "ratio_ci": {
-                "point_estimate": float(interval.point_estimate),
-                "lower": float(interval.lower),
-                "upper": float(interval.upper),
-                "level": float(interval.level),
-                "component_level": float(component_level(level)),
-                "beta_interval": [float(v) for v in interval.beta_interval],
-                "variance_interval": [float(v) for v in interval.variance_interval],
-                "n": int(data.n),
-            },
-        })
-    return _render(report, args)
+                                         args.controls, args.level)
+        strata.append((label, {"ratio_ci": {
+            **asdict(interval),
+            "component_level": component_level(args.level),
+            "n": int(data.n),
+        }}))
+    return _report(args, strata)
 
 
 def _resolve_spec(preset: str) -> tuple[str, DgpSpec]:
@@ -364,64 +343,25 @@ def _resolve_spec(preset: str) -> tuple[str, DgpSpec]:
 
 def _handle_simulate(args) -> str:
     name, spec = _resolve_spec(args.preset)
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise _UsageError("--seed must be a nonnegative integer")
-
     if args.replicates is None:
-        data = generate(spec, args.n, args.seed)
         buffer = io.StringIO()
-        dataset_to_csv(data, buffer)
+        dataset_to_csv(generate(spec, args.n, args.seed), buffer)
         return buffer.getvalue()
 
-    if args.replicates < 1:
-        raise _UsageError(f"--replicates must be >= 1, got {args.replicates}")
-    alpha = _check_unit_interval(args.alpha, "--alpha")
-    if args.q <= 0:
-        raise _UsageError(f"--q must be > 0, got {args.q}")
-
     summary = replicate_study(spec, args.n, args.replicates, args.seed,
-                              q=args.q, alpha=alpha)
-    moments = population_moments(spec)
-    population = {
-        "beta_true": spec.beta,
-        "bias": float(population_ols_bias(spec)),
-        "moments": {
-            "var_a": moments.var_a, "var_x": moments.var_x, "var_u": moments.var_u,
-            "cov_a_x": moments.cov_a_x, "cov_a_u": moments.cov_a_u,
-            "cov_a_eps_x": moments.cov_a_eps_x, "var_eps_x": moments.var_eps_x,
-        },
-    }
-    population["beta_y_on_ax"] = spec.beta + population["bias"]
+                              q=args.q, alpha=args.alpha)
+    bias = float(population_ols_bias(spec))
+    population = {"beta_true": spec.beta, "bias": bias, "beta_y_on_ax": spec.beta + bias,
+                  "moments": asdict(population_moments(spec))}
     if spec.a_on_eps_x == 0.0:
-        decomp = population_bias_decomposition(spec)
-        population["bias_decomposition"] = {
-            "bias": decomp.bias,
-            "factor_gamma": decomp.factor_gamma,
-            "factor_proxy_noise": decomp.factor_proxy_noise,
-            "factor_collinearity": decomp.factor_collinearity,
-        }
-
-    report = _base_report("simulate", {
-        "preset": name, "spec": spec.to_dict(), "n": args.n, "seed": args.seed,
-        "replicates": args.replicates, "q": args.q, "alpha": alpha,
-    }, args.deterministic)
-    report["strata"] = [{
-        "stratum": None,
+        population["bias_decomposition"] = asdict(population_bias_decomposition(spec))
+    return _report(args, [(None, {
         "population": population,
-        "replicates": {
-            "count": summary.replicates,
-            "n": summary.n,
-            "mean_beta_hat": summary.mean_beta_hat,
-            "sd_beta_hat": summary.sd_beta_hat,
-            "mean_std_error": summary.mean_std_error,
-            "mean_partial_r2": summary.mean_partial_r2,
-            "mean_rv_q": summary.mean_rv_q,
-            "mean_rv_q_alpha": summary.mean_rv_q_alpha,
-        },
-    }]
-    return _render(report, args)
+        # the per-replicate arrays stay out; their means and sd go in
+        "replicates": {"count": summary.replicates, "n": summary.n,
+                       **{k: v for k, v in vars(summary).items()
+                          if k.startswith(("mean_", "sd_"))}},
+    })], preset=name, spec=spec.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -432,29 +372,14 @@ def _fmt(x: float) -> str:
     return f"{x:.5f}"
 
 
-def _render(report: dict, args) -> str:
-    if args.format == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return _render_text(report)
-
-
 def _render_text(report: dict) -> str:
     lines: list[str] = []
-    for block in report.get("strata", []):
-        if block.get("stratum") is not None:
+    for block in report["strata"]:
+        if block["stratum"] is not None:
             lines.append(f"--- stratum: {block['stratum']} ---")
-        if "ols" in block:
-            lines.extend(_text_ols(block["ols"]))
-        if "logit" in block:
-            lines.extend(_text_logit(block["logit"]))
-        if "treatment" in block:
-            lines.extend(_text_sensitivity(block["treatment"], block["sensitivity"]))
-        if "ratio_ci" in block:
-            lines.extend(_text_ratio(block["ratio_ci"]))
-        if "population" in block:
-            lines.extend(_text_population(block["population"]))
-        if "replicates" in block:
-            lines.extend(_text_replicates(block["replicates"]))
+        for key, render in _TEXT_SECTIONS:
+            if key in block:
+                lines.extend(render(block[key]))
         lines.append("")
     return "\n".join(lines)
 
@@ -491,7 +416,7 @@ def _text_logit(block: dict) -> list[str]:
     return lines
 
 
-def _text_sensitivity(treatment: dict, stats: dict) -> list[str]:
+def _text_treatment(treatment: dict) -> list[str]:
     lines = ["Sensitivity analysis to unobserved confounding", "Treatment summary:"]
     if "estimate" in treatment:
         lines.append(f"  Coef. estimate: {_fmt(treatment['estimate'])}")
@@ -499,13 +424,18 @@ def _text_sensitivity(treatment: dict, stats: dict) -> list[str]:
         lines.append(f"  Standard error: {_fmt(treatment['std_error'])}")
     lines.append(f"  t-value: {_fmt(treatment['t_value'])}")
     lines.append(f"  Residual df: {treatment['df']}")
-    q, alpha = stats["q"], stats["alpha"]
-    lines.append("Sensitivity statistics:")
-    lines.append(f"  Partial R2 of treatment with outcome: {_fmt(stats['partial_r2'])}")
-    lines.append(f"  Robustness value (q = {q:g}): {_fmt(stats['rv_q'])}")
-    lines.append(f"  Robustness value (q = {q:g}, alpha = {alpha:g}): "
-                 f"{_fmt(stats['rv_q_alpha'])}")
     return lines
+
+
+def _text_sensitivity(stats: dict) -> list[str]:
+    q, alpha = stats["q"], stats["alpha"]
+    return [
+        "Sensitivity statistics:",
+        f"  Partial R2 of treatment with outcome: {_fmt(stats['partial_r2'])}",
+        f"  Robustness value (q = {q:g}): {_fmt(stats['rv_q'])}",
+        f"  Robustness value (q = {q:g}, alpha = {alpha:g}): "
+        f"{_fmt(stats['rv_q_alpha'])}",
+    ]
 
 
 def _text_ratio(block: dict) -> list[str]:
@@ -549,6 +479,18 @@ def _text_replicates(block: dict) -> list[str]:
         f"  Mean robustness value: {_fmt(block['mean_rv_q'])}",
         f"  Mean robustness value (alpha): {_fmt(block['mean_rv_q_alpha'])}",
     ]
+
+
+# (block key, renderer) in the order sections are printed
+_TEXT_SECTIONS = (
+    ("ols", _text_ols),
+    ("logit", _text_logit),
+    ("treatment", _text_treatment),
+    ("sensitivity", _text_sensitivity),
+    ("ratio_ci", _text_ratio),
+    ("population", _text_population),
+    ("replicates", _text_replicates),
+)
 
 
 # ---------------------------------------------------------------------------

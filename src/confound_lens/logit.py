@@ -89,6 +89,8 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     _check_binary(y, f"outcome {outcome!r}")
     X, names = _design(data, regressors, include_intercept)
     n, p = X.shape
+    if p == 0:
+        raise DomainError("at least one regressor or an intercept is required")
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
     _check_design_rank(X)

@@ -161,16 +161,34 @@ class TestFitAndLogit:
             assert logit["converged"] is True
             assert 0.5 < logit["c_statistic_in_sample"] < 1.0
 
-    def test_text_json_parity(self, capsys):
-        code, text, _ = run_cli(capsys, "fit", "--input", FIXTURE,
-                                "--outcome", "smoker",
-                                "--exposure", "poverty_index",
-                                "--controls", "age", "--deterministic")
+
+PARITY_ARGV = {
+    "fit": ("fit", "--input", FIXTURE, "--outcome", "smoker",
+            "--exposure", "poverty_index", "--controls", "age"),
+    "logit-stratified": ("logit", "--input", FIXTURE, "--outcome", "smoker",
+                         "--controls", "age,race:Black,race:Other,"
+                                       "education_grade,poverty_index",
+                         "--stratify", "sex"),
+    "sensitivity": ("sensitivity", "--input", FIXTURE, "--outcome", "smoker",
+                    "--exposure", "poverty_index", "--controls", "age,education_grade"),
+    "sensitivity-summary": ("sensitivity", "--t", "2.5", "--df", "40",
+                            "--estimate", "1.25", "--se", "0.5"),
+    "ratio-ci-stratified": ("ratio-ci", "--input", FIXTURE, "--exposure", "smoker",
+                            "--proxy", "poverty_index", "--controls", "age,education_grade",
+                            "--stratify", "sex"),
+    "simulate-replicates": ("simulate", "--preset", "study2", "--n", "300", "--seed", "3",
+                            "--replicates", "8"),
+}
+
+
+class TestTextJsonParity:
+    @pytest.mark.parametrize("name", list(PARITY_ARGV))
+    def test_text_json_parity(self, capsys, name):
+        code, text, _ = run_cli(capsys, *PARITY_ARGV[name], "--deterministic")
         assert code == 0
-        report = run_json(capsys, "fit", "--input", FIXTURE,
-                          "--outcome", "smoker", "--exposure", "poverty_index",
-                          "--controls", "age", "--deterministic")
+        report = run_json(capsys, *PARITY_ARGV[name], "--deterministic")
         printed = set(re.findall(r"-?\d+\.\d{5}\b", text))
+        assert printed
         json_renderings = {f"{v:.5f}" for v in _floats_in_json(report["strata"])}
         json_renderings |= {str(int(v)) for v in _floats_in_json(report["strata"])}
         missing = {p for p in printed if p not in json_renderings}
@@ -300,6 +318,38 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "logit", "--input", str(path),
                              "--outcome", "y", "--controls", "x")
         assert code == 4
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--q", ("sensitivity", "--t", "5", "--df", "99", "--q", "nan")),
+        ("--q", ("sensitivity", "--t", "5", "--df", "99", "--q", "inf")),
+        ("--alpha", ("simulate", "--preset", "study1", "--n", "5", "--alpha", "7")),
+        ("--n", ("simulate", "--preset", "study1", "--n", "0")),
+        ("--seed", ("simulate", "--preset", "study1", "--seed", "-1")),
+        ("--replicates", ("simulate", "--preset", "study1", "--replicates", "0")),
+        ("--level", ("ratio-ci", "--input", FIXTURE, "--exposure", "smoker",
+                     "--proxy", "poverty_index", "--level", "1.5")),
+        ("--eps-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
+                        "--proxy", "x", "--eps-grid", "0,-1")),
+    ], ids=["q-nan", "q-inf", "simulate-csv-alpha", "n", "seed", "replicates", "level",
+            "eps-grid"])
+    def test_bad_flag_value_is_usage_error(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: argument {flag}: ")
+
+    def test_bad_flag_value_precedes_bad_spec_file(self, capsys, tmp_path):
+        spec_path = tmp_path / "broken.json"
+        spec_path.write_text("{not json", encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "--preset", str(spec_path), "--n", "0")
+        assert code == 1
+        assert "argument --n" in err
+
+    def test_bias_grid_rejects_stratify_before_reading_input(self, capsys):
+        code, _, err = run_cli(capsys, "bias-grid", "--input", "/does/not/exist.csv",
+                               "--exposure", "a", "--proxy", "x", "--stratify", "sex")
+        assert code == 1
+        assert "--stratify" in err
 
     def test_unexpected_failure_exit_5_without_traceback(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):

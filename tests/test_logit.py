@@ -92,6 +92,11 @@ class TestFitLogit:
         with pytest.raises(DomainError):
             fit_logit(data, "y", ["x"])
 
+    def test_no_regressors_no_intercept(self):
+        data = _data(y=[0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(DomainError):
+            fit_logit(data, "y", [], include_intercept=False)
+
     def test_eight_row_instance_matches_likelihood_maximizer(self):
         # classes overlap on x1 (a negative at 0.9 inside the positive range),
         # so the maximum-likelihood optimum is finite
