@@ -24,6 +24,8 @@ GENERATE_DIGESTS = {
     "study1": "b832bd75542eef21d631aab332f108b5fe37a430466938a137477a61302a1a15",
     "study2": "996dac0a8a1ec19c9e999fd764b6d62d52c81e4ff792d1c63d6fe82ce40e03af",
 }
+# 200,004 sampled values: twelve full 16384-value sampler blocks and a partial one
+GENERATE_BLOCKS_DIGEST = "f72297f5d82ab5232a15fa698e6674a8226c96c63961f7287eda32cabf7f23d3"
 
 CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
@@ -41,6 +43,7 @@ CLI_DIGESTS = {
     "ratio-ci-stratified-text": "2882e01f14c4c8d990c9def9065e05a91315fb4f2d12e14d02b61e2f71bde33e",
     "bias-grid": "afc975644c89fbee6eb772cadb138b5ca3ef88bd04cce021da47e1e45e0df8c8",
     "simulate-replicates-text": "12579705544c1ebc925907ba11821c23ae75b6824218942ddfebd3e6dd6973b7",
+    "simulate-replicates-large": "15541443ee79a858a272b7da07dffbce097df1483c5de848f69262a44c7102c9",
 }
 
 CLI_ARGV = {
@@ -93,6 +96,10 @@ CLI_ARGV = {
                   "--gamma-grid", "0:2:5", "--eps-grid", "0,0.25,1"),
     "simulate-replicates-text": ("simulate", "--preset", "study1", "--n", "1000",
                                  "--seed", "7", "--replicates", "8"),
+    # the mc-large benchmark shape: each replicate samples 1e6 values
+    "simulate-replicates-large": ("simulate", "--preset", "study1", "--n", "250000",
+                                  "--replicates", "2", "--format", "json",
+                                  "--deterministic", "--seed", "5"),
 }
 
 # a_on_eps_x != 0, so the report carries no bias_decomposition block
@@ -109,6 +116,11 @@ def _sha256(data: bytes) -> str:
 def test_generate_stream_is_pinned(preset):
     data = generate(STUDY_PRESETS[preset], 1000, 0)
     assert _sha256(data.values.tobytes()) == GENERATE_DIGESTS[preset]
+
+
+def test_generate_stream_across_sampler_blocks_is_pinned():
+    data = generate(STUDY_PRESETS["study1"], 50_001, 3)
+    assert _sha256(data.values.tobytes()) == GENERATE_BLOCKS_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
