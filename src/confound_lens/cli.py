@@ -91,6 +91,7 @@ def _checked(convert, ok, rule: str):
 
 
 _UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly in (0, 1)")
+_FINITE = _checked(float, math.isfinite, "must be finite")
 _FINITE_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
                        "must be finite and > 0")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be >= 1")
@@ -132,8 +133,8 @@ def _build_parser() -> _Parser:
                        help="partial R2 and robustness values for a treatment")
     p.add_argument("--outcome")
     p.add_argument("--exposure")
-    p.add_argument("--t", type=float, help="treatment t-value (summary mode)")
-    p.add_argument("--df", type=int, help="residual df (summary mode)")
+    p.add_argument("--t", type=_FINITE, help="treatment t-value (summary mode)")
+    p.add_argument("--df", type=_AT_LEAST_1, help="residual df (summary mode)")
     p.add_argument("--estimate", type=float)
     p.add_argument("--se", type=float)
     p.add_argument("--q", type=_FINITE_POSITIVE, default=1.0)
@@ -298,6 +299,8 @@ def _handle_sensitivity(args) -> str:
 def _handle_bias_grid(args) -> str:
     if args.stratify:
         raise _UsageError("bias-grid does not support --stratify")
+    if args.format == "json":
+        raise _UsageError("bias-grid writes CSV; it does not support --format json")
     [(_, data)] = _load_strata(args)
     fit = fit_ols(data, args.exposure, [args.proxy] + args.controls,
                   include_intercept=True)

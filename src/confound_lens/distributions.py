@@ -9,11 +9,25 @@ shape parameters, where the classic expansions need more than the iteration
 budget, the regularized incomplete gamma switches to Gauss-Legendre
 quadrature of the density, which is accurate to ~1e-11 there.
 
-All functions are pure and reentrant.
+The bulk normal quantile (and the erfc inside its Newton step) runs over
+fixed blocks of 16384 elements of the flattened input, with work rows
+allocated per call, so its memory does not grow with the input beyond the
+output.  Every element of a block goes through every main branch of the
+rational approximations; the branch it belongs to is then picked with a
+bitwise select on the uint64 bits, `b ^ ((a ^ b) & mask)`, where the mask
+comes from a sign bit.  Selection by a random boolean mask mispredicts about
+every other branch in the CPU and costs several times the arithmetic it
+saves; the bitwise select is exact, so each element still takes exactly the
+operations, in the same order, of its own branch, and the output bits do
+not depend on the blocking.
+
+All functions are pure and reentrant.  t and chi-square critical values are
+memoised on their validated (p, df).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -79,74 +93,117 @@ def _check_df(df) -> int:
 
 
 # ---------------------------------------------------------------------------
-# erfc (Cody 1969 rational approximations), vectorized
+# Block kernels: branch-free evaluation with exact bitwise selects
 # ---------------------------------------------------------------------------
 
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-          3.20937758913846947e03, 1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-          2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
+# Elements per block of the bulk kernels: large enough to amortise the cost
+# of a ufunc call, small enough for a block's work rows to stay in cache.
+_BLOCK = 16384
+_SIGN_BIT = np.int64(-(1 << 63))
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, good to ~1e-13 relative."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(x)
-    out = np.empty_like(y)
+def _sign_mask(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """int64 all ones where float64 `x` has its sign bit set, else zero."""
+    return np.right_shift(x.view(np.int64), 63, out=out)
 
-    small = y <= 0.46875
-    if small.any():
-        ys = y[small]
-        z = ys * ys
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        out[small] = 1.0 - ys * (num + _ERF_A[3]) / (den + _ERF_B[3])
 
-    mid = (y > 0.46875) & (y <= 4.0)
-    if mid.any():
-        ym = y[mid]
-        num = _ERFC_C[8] * ym
-        den = ym
-        for i in range(7):
-            num = (num + _ERFC_C[i]) * ym
-            den = (den + _ERFC_D[i]) * ym
-        out[mid] = np.exp(-ym * ym) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """b = a where mask is all ones, else b; bit for bit.  Clobbers a."""
+    ai, bi = a.view(np.int64), b.view(np.int64)
+    np.bitwise_xor(ai, bi, out=ai)
+    np.bitwise_and(ai, mask, out=ai)
+    np.bitwise_xor(bi, ai, out=bi)
+
+
+def _horner(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """((c0 x + c1) x + ...) x + c_last, one rounded step at a time."""
+    out = np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= x
+    out += coefs[-1]
+    return out
+
+
+def _discarded_branch_errstate():
+    # Every element also runs the branches it does not take; their overflow
+    # and NaN are discarded by the selects and must not warn.
+    return np.errstate(over="ignore", under="ignore", invalid="ignore")
+
+
+# ---------------------------------------------------------------------------
+# erfc (Cody 1969 rational approximations)
+# ---------------------------------------------------------------------------
+
+# Coefficients in Horner order, highest power first.  A leading 1.0 stands
+# for a monic polynomial: 1.0 * x is exactly x.
+_ERF_NUM = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+            3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_DEN = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+            2.84423683343917062e03)
+_ERFC_NUM = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+             6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+             1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERFC_DEN = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+             1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+             3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_ASYM_NUM = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+                  1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_ASYM_DEN = (1.0, 2.56852019228982242e00, 1.87295284992346047e00,
+                  5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _erfc(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """erfc of the 1-D block x into out, good to ~1e-13 relative.
+
+    work holds five rows of x's length.  Both main branches run on every
+    element.  The asymptotic branch y > 4 (a normal tail below 8e-9, rare in
+    any sample) is patched afterwards on its own elements.
+    """
+    y, a, b, c = work[:4]
+    mask = work[4].view(np.int64)
+    np.abs(x, out=y)
+
+    # y <= 0.46875: 1 - y * P(y^2) / Q(y^2)
+    np.multiply(y, y, out=c)
+    _horner(c, _ERF_NUM, a)
+    _horner(c, _ERF_DEN, b)
+    a *= y
+    a /= b
+    np.subtract(1.0, a, out=out)
+
+    # 0.46875 < y <= 4: exp(-y^2) * P(y) / Q(y)
+    _horner(y, _ERFC_NUM, a)
+    _horner(y, _ERFC_DEN, b)
+    np.negative(y, out=c)
+    c *= y
+    np.exp(c, out=c)
+    c *= a
+    c /= b
+    np.subtract(0.46875, y, out=a)
+    _select(_sign_mask(a, mask), c, out)
 
     big = y > 4.0
     if big.any():
         yb = y[big]
         z = 1.0 / (yb * yb)
-        num = _ERFC_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERFC_P[i]) * z
-            den = (den + _ERFC_Q[i]) * z
-        r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-        with np.errstate(under="ignore"):
-            out[big] = np.exp(-yb * yb) * (_INV_SQRT_PI - r) / yb
+        r = z * _horner(z, _ERFC_ASYM_NUM) / _horner(z, _ERFC_ASYM_DEN)
+        out[big] = np.exp(-yb * yb) * (_INV_SQRT_PI - r) / yb
 
-    return np.where(x < 0.0, 2.0 - out, out)
+    # erfc(x) = 2 - erfc(-x); at x = -0.0 both sides are exactly 1.0
+    np.subtract(2.0, out, out=a)
+    _select(_sign_mask(x, mask), a, out)
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
     if math.isnan(x):
         raise DomainError("normal_cdf: x must not be NaN")
-    with np.errstate(under="ignore"):
-        return float(0.5 * _erfc(np.float64(-x) / _SQRT2))
+    work = np.empty((7, 1))
+    work[0] = np.float64(-x) / _SQRT2
+    with _discarded_branch_errstate():
+        _erfc(work[0], work[1], work[2:])
+    return float(0.5 * work[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +213,62 @@ def normal_cdf(x: float) -> float:
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
+          6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+          3.754408661907416e+00, 1.0)
+
+
+def _quantile_block(p: np.ndarray, z: np.ndarray, work: np.ndarray) -> None:
+    """Inverse normal CDF of the 1-D block p into z; work has eight rows."""
+    q, x, cdf = work[:3]
+    zt, u, a, b, c = work[3:]
+    mask = x.view(np.int64)
+    np.subtract(1.0, p, out=q)
+    np.minimum(p, q, out=q)  # exact: p >= 0.5 makes 1 - p lossless
+
+    # q < 0.02425: C(s) / D(s), s = sqrt(-2 log q)
+    np.log(q, out=c)
+    c *= -2.0
+    np.sqrt(c, out=c)
+    _horner(c, _PPF_C, a)
+    _horner(c, _PPF_D, b)
+    np.divide(a, b, out=zt)
+
+    # otherwise: u A(u^2) / B(u^2), u = q - 0.5
+    np.subtract(q, 0.5, out=u)
+    np.multiply(u, u, out=c)
+    _horner(c, _PPF_A, a)
+    _horner(c, _PPF_B, b)
+    np.multiply(u, a, out=z)
+    z /= b
+    np.subtract(q, 0.02425, out=c)
+    _select(_sign_mask(c, mask), zt, z)
+
+    # One Newton step against the lower-tail CDF, where erfc keeps full
+    # relative precision (z <= 0 here).
+    np.negative(z, out=x)
+    x /= _SQRT2
+    _erfc(x, cdf, work[3:])
+    cdf *= 0.5
+    pdf, step = a, b
+    np.multiply(z, -0.5, out=pdf)
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf *= _NORM_PDF_C
+    np.subtract(cdf, q, out=step)
+    step /= pdf
+    # no step where pdf underflows to 0: pdf >= 0, so -bits < 0 iff pdf > 0
+    np.negative(pdf.view(np.int64), out=mask)
+    mask >>= 63
+    np.bitwise_and(step.view(np.int64), mask, out=step.view(np.int64))
+    z -= step
+
+    # p > 0.5 flips the sign: 0.5 - p is negative exactly there
+    np.subtract(0.5, p, out=c)
+    np.bitwise_and(c.view(np.int64), _SIGN_BIT, out=mask)
+    np.bitwise_xor(z.view(np.int64), mask, out=z.view(np.int64))
 
 
 def normal_quantile_vec(p: np.ndarray) -> np.ndarray:
@@ -170,32 +278,15 @@ def normal_quantile_vec(p: np.ndarray) -> np.ndarray:
     simulator's inverse-CDF sampling.  Absolute error is a few ulp.
     """
     p = np.asarray(p, dtype=np.float64)
-    flip = p > 0.5
-    q = np.where(flip, 1.0 - p, p)  # exact: p >= 0.5 makes 1 - p lossless
-    z = np.empty_like(q)
-
-    tail = q < 0.02425
-    if tail.any():
-        s = np.sqrt(-2.0 * np.log(q[tail]))
-        num = ((((_PPF_C[0] * s + _PPF_C[1]) * s + _PPF_C[2]) * s + _PPF_C[3]) * s + _PPF_C[4]) * s + _PPF_C[5]
-        den = (((_PPF_D[0] * s + _PPF_D[1]) * s + _PPF_D[2]) * s + _PPF_D[3]) * s + 1.0
-        z[tail] = num / den
-    center = ~tail
-    if center.any():
-        u = q[center] - 0.5
-        r = u * u
-        num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
-        den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
-        z[center] = u * num / den
-
-    # One Newton step against the lower-tail CDF, where erfc keeps full
-    # relative precision (z <= 0 here).
-    with np.errstate(under="ignore"):
-        cdf = 0.5 * _erfc(-z / _SQRT2)
-        pdf = np.exp(-0.5 * z * z) * _NORM_PDF_C
-        step = (cdf - q) / pdf
-    z = z - np.where(pdf > 0.0, step, 0.0)
-    return np.where(flip, -z, z)
+    flat = p.reshape(-1)
+    out = np.empty(flat.shape)
+    work = np.empty((8, min(flat.size, _BLOCK)))
+    with _discarded_branch_errstate():
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            w = out[block].size
+            _quantile_block(flat[block], out[block], work[:, :w])
+    return out.reshape(p.shape)
 
 
 def normal_quantile(p) -> float:
@@ -379,8 +470,11 @@ def _t_pdf(x: float, df: int) -> float:
 
 def t_quantile(p, df) -> float:
     """Inverse of t_cdf: |t_cdf(result, df) - p| <= 1e-9."""
-    pv = _prob(p)
-    df = _check_df(df)
+    return _t_quantile(_prob(p), _check_df(df))
+
+
+@functools.lru_cache(maxsize=1024)
+def _t_quantile(pv: float, df: int) -> float:
     if pv == 0.5:
         return 0.0
     if df == 1:
@@ -418,8 +512,11 @@ def _chisq_pdf(x: float, df: int) -> float:
 
 def chisq_quantile(p, df) -> float:
     """Inverse chi-square CDF, relative error <= 1e-8."""
-    pv = _prob(p)
-    df = _check_df(df)
+    return _chisq_quantile(_prob(p), _check_df(df))
+
+
+@functools.lru_cache(maxsize=1024)
+def _chisq_quantile(pv: float, df: int) -> float:
     z = normal_quantile(pv)
     # Wilson-Hilferty start, clamped positive
     h = 2.0 / (9.0 * df)

@@ -18,9 +18,10 @@ from .errors import DomainError, InsufficientRowsError, RankDeficientError
 
 INTERCEPT = "intercept"
 
-# Smallest acceptable ratio of design singular values.  Below this the design
-# is treated as exactly collinear; "merely strong" multicollinearity (VIFs in
-# the tens or hundreds) sits far above it.
+# Smallest acceptable ratio of the singular values of the design with its
+# columns scaled to unit norm.  Below this the design is treated as exactly
+# collinear; "merely strong" multicollinearity (VIFs in the tens or hundreds)
+# sits far above it.
 RANK_TOL = 1e-10
 
 
@@ -73,14 +74,19 @@ def _design(data: Dataset, regressors: list[str] | tuple[str, ...],
 def _check_rank(R: np.ndarray) -> None:
     """Raise RankDeficientError for a collinear design, given its R factor.
 
-    R has the singular values of the design itself, at p x p rather than
-    n x p cost.
+    R's columns have the design's column norms, so R with unit columns has
+    the singular values of the design with unit columns, at p x p rather
+    than n x p cost.  The verdict therefore does not depend on the units of
+    any column.
     """
-    svals = np.linalg.svd(R, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] < RANK_TOL:
+    norms = np.linalg.norm(R, axis=0)
+    if not norms.all():
+        raise RankDeficientError("design is rank deficient (a column is all zero)")
+    svals = np.linalg.svd(R / norms, compute_uv=False)
+    if svals[-1] / svals[0] < RANK_TOL:
         raise RankDeficientError(
             f"design is numerically rank deficient (singular value ratio "
-            f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.2e} < {RANK_TOL:g})"
+            f"{svals[-1] / svals[0]:.2e} < {RANK_TOL:g} with unit columns)"
         )
 
 

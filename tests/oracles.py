@@ -7,8 +7,10 @@ solved by raw normal equations, the logistic oracle runs Newton steps
 with finite-difference derivatives of the explicit log-likelihood, and the
 CSV reference reads and writes row by row, one cell at a time (the package's
 former ingest, without its later BOM and row-number fixes).  The VIF
-reference is the package's former `vif`: an SVD rank check of the design,
-then one complete least-squares refit per regressor.
+reference is the package's former `vif`: an SVD rank check of the design
+with its columns scaled to unit norm, then one complete least-squares refit
+per regressor.  The normal sampler reference is the package's former
+masked-selection kernel, kept verbatim.
 """
 
 from __future__ import annotations
@@ -282,8 +284,11 @@ class VifOracleError(Exception):
 
 
 def _svd_rank_check(X: np.ndarray) -> None:
-    svals = np.linalg.svd(X, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] < 1e-10:
+    norms = np.sqrt(np.sum(X * X, axis=0))
+    if not norms.all():
+        raise VifOracleError("rank")
+    svals = np.linalg.svd(X / norms, compute_uv=False)
+    if svals[-1] / svals[0] < 1e-10:
         raise VifOracleError("rank")
 
 
@@ -312,3 +317,118 @@ def vif_nested(values: np.ndarray) -> list[float]:
         slack = 1.0 - r2
         out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The package's former normal sampler: Cody's erfc and Acklam's quantile with
+# one Newton step, each branch evaluated on a boolean-mask selection of its
+# elements.  Copied verbatim (bar the names); the package's blocked, bitwise
+# selecting kernel must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_PI = 0.5641895835477563
+_NORM_PDF_C = 0.3989422804014327  # 1/sqrt(2*pi)
+
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def erfc_masked(x: np.ndarray) -> np.ndarray:
+    """Complementary error function, good to ~1e-13 relative."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.abs(x)
+    out = np.empty_like(y)
+
+    small = y <= 0.46875
+    if small.any():
+        ys = y[small]
+        z = ys * ys
+        num = _ERF_A[4] * z
+        den = z
+        for i in range(3):
+            num = (num + _ERF_A[i]) * z
+            den = (den + _ERF_B[i]) * z
+        out[small] = 1.0 - ys * (num + _ERF_A[3]) / (den + _ERF_B[3])
+
+    mid = (y > 0.46875) & (y <= 4.0)
+    if mid.any():
+        ym = y[mid]
+        num = _ERFC_C[8] * ym
+        den = ym
+        for i in range(7):
+            num = (num + _ERFC_C[i]) * ym
+            den = (den + _ERFC_D[i]) * ym
+        out[mid] = np.exp(-ym * ym) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
+
+    big = y > 4.0
+    if big.any():
+        yb = y[big]
+        z = 1.0 / (yb * yb)
+        num = _ERFC_P[5] * z
+        den = z
+        for i in range(4):
+            num = (num + _ERFC_P[i]) * z
+            den = (den + _ERFC_Q[i]) * z
+        r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
+        with np.errstate(under="ignore"):
+            out[big] = np.exp(-yb * yb) * (_INV_SQRT_PI - r) / yb
+
+    return np.where(x < 0.0, 2.0 - out, out)
+
+
+_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+          6.680131188771972e+01, -1.328068155288572e+01)
+_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+          3.754408661907416e+00)
+
+
+def normal_quantile_vec_masked(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF, elementwise on an array in (0, 1).
+
+    Inputs must already be validated; this is the bulk path used by the
+    simulator's inverse-CDF sampling.  Absolute error is a few ulp.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flip = p > 0.5
+    q = np.where(flip, 1.0 - p, p)  # exact: p >= 0.5 makes 1 - p lossless
+    z = np.empty_like(q)
+
+    tail = q < 0.02425
+    if tail.any():
+        s = np.sqrt(-2.0 * np.log(q[tail]))
+        num = ((((_PPF_C[0] * s + _PPF_C[1]) * s + _PPF_C[2]) * s + _PPF_C[3]) * s + _PPF_C[4]) * s + _PPF_C[5]
+        den = (((_PPF_D[0] * s + _PPF_D[1]) * s + _PPF_D[2]) * s + _PPF_D[3]) * s + 1.0
+        z[tail] = num / den
+    center = ~tail
+    if center.any():
+        u = q[center] - 0.5
+        r = u * u
+        num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
+        den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
+        z[center] = u * num / den
+
+    # One Newton step against the lower-tail CDF, where erfc keeps full
+    # relative precision (z <= 0 here).
+    with np.errstate(under="ignore"):
+        cdf = 0.5 * erfc_masked(-z / _SQRT2)
+        pdf = np.exp(-0.5 * z * z) * _NORM_PDF_C
+        step = (cdf - q) / pdf
+    z = z - np.where(pdf > 0.0, step, 0.0)
+    return np.where(flip, -z, z)

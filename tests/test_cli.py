@@ -330,13 +330,24 @@ class TestExitCodes:
                      "--proxy", "poverty_index", "--level", "1.5")),
         ("--eps-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
                         "--proxy", "x", "--eps-grid", "0,-1")),
+        ("--t", ("sensitivity", "--t", "nan", "--df", "40")),
+        ("--t", ("sensitivity", "--t", "-inf", "--df", "40")),
+        ("--df", ("sensitivity", "--t", "2.5", "--df", "0")),
+        ("--df", ("sensitivity", "--t", "2.5", "--df", "4.5")),
     ], ids=["q-nan", "q-inf", "simulate-csv-alpha", "n", "seed", "replicates", "level",
-            "eps-grid"])
+            "eps-grid", "t-nan", "t-inf", "df-0", "df-fraction"])
     def test_bad_flag_value_is_usage_error(self, capsys, flag, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: argument {flag}: ")
+
+    def test_bias_grid_rejects_json_before_reading_input(self, capsys):
+        code, out, err = run_cli(capsys, "bias-grid", "--input", "/does/not/exist.csv",
+                                 "--exposure", "a", "--proxy", "x", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "writes CSV" in err
 
     def test_bad_flag_value_precedes_bad_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "broken.json"

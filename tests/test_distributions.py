@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from confound_lens.distributions import (TailProbability, chisq_cdf, chisq_quantile,
                                          normal_cdf, normal_quantile,
                                          normal_quantile_vec, t_cdf, t_quantile)
+from confound_lens import distributions
 from confound_lens.errors import DomainError
 
 import oracles
@@ -67,6 +69,102 @@ class TestNormal:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             normal_quantile(bad)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _neighbours(values, count: int) -> np.ndarray:
+    """Each value and the `count` floats either side of it."""
+    out = []
+    for v in np.asarray(values, dtype=np.float64):
+        lo = hi = v
+        out.append(v)
+        for _ in range(count):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def _quantile_bits_match_masked_kernel(p: np.ndarray) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = normal_quantile_vec(p)
+    assert z.shape == p.shape
+    assert np.array_equal(_bits(z), _bits(oracles.normal_quantile_vec_masked(p)))
+
+
+@st.composite
+def probability_arrays(draw):
+    """Arrays of 1 to 40,000 probabilities in (0, 1), spanning several
+    sampler blocks: the sampler's own 53-bit grid, uniform doubles, log-uniform
+    deep tails on either side, and hypothesis-chosen values scattered in."""
+    n = draw(st.integers(1, 40_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["grid53", "uniform", "deep-tail"]))
+    if kind == "grid53":
+        p = (rng.integers(0, 2 ** 53 - 1, n, dtype=np.uint64) + 0.5) / 2.0 ** 53
+    elif kind == "uniform":
+        p = rng.random(n)
+    else:
+        p = 10.0 ** rng.uniform(-300.0, -1.0, n)
+        p = np.where(rng.random(n) < 0.5, p, 1.0 - p)
+    special = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                            max_size=20))
+    p[rng.integers(0, n, len(special))] = special
+    return np.where((p > 0.0) & (p < 1.0), p, 0.5)
+
+
+class TestSamplerBitIdentity:
+    """The blocked, bitwise-selecting normal kernels reproduce the former
+    masked-selection kernels (tests/oracles.py) bit for bit, and warn on no
+    valid input although every element runs every main branch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(probability_arrays())
+    def test_quantile_arrays(self, p):
+        _quantile_bits_match_masked_kernel(p)
+
+    def test_quantile_edges(self):
+        edges = _neighbours([
+            0.5, 0.02425, 0.97575,                 # Acklam's branch edges
+            0.5 / 2 ** 53, 1.0 - 2.0 ** -52,       # ends of the sampler's 53-bit grid
+            5e-324, 2.2250738585072014e-308,      # subnormal and smallest normal
+            float(np.nextafter(1.0, 0.0)),
+        ], 100)
+        # Cody's erfc branch edges |x| = 0.46875 and 4, as Newton-step points
+        z_edges = _neighbours([-0.46875 * math.sqrt(2.0), -4.0 * math.sqrt(2.0)], 100)
+        p_edges = np.array([normal_cdf(float(z)) for z in z_edges])
+        p = np.concatenate([edges, p_edges, 1.0 - p_edges])
+        _quantile_bits_match_masked_kernel(p[(p > 0.0) & (p < 1.0)])
+
+    def test_quantile_two_dimensional_and_strided(self):
+        n = 3 * 16384 // 4 + 5
+        p = np.random.default_rng(11).random((n, 4))
+        p[p == 0.0] = 0.5
+        _quantile_bits_match_masked_kernel(p)
+        _quantile_bits_match_masked_kernel(p[::3, 1::2])
+        _quantile_bits_match_masked_kernel(p.T)
+
+    def test_quantile_zero_dimensional(self):
+        _quantile_bits_match_masked_kernel(np.array(0.3))
+
+    def test_cdf(self):
+        xs = np.concatenate([
+            np.linspace(-40.0, 40.0, 4001),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+             -2.2250738585072014e-308],
+            _neighbours([0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0)], 100),
+            -_neighbours([0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0)], 100),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([normal_cdf(float(x)) for x in xs])
+        with np.errstate(under="ignore"):
+            want = np.array([float(0.5 * oracles.erfc_masked(np.float64(-x) / math.sqrt(2.0)))
+                             for x in xs])
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestStudentT:
@@ -132,6 +230,27 @@ class TestChiSquare:
         for p in (0.025, 0.5, 0.975):
             for df in (10 ** 5, 10 ** 6):
                 assert abs(chisq_cdf(chisq_quantile(p, df), df) - p) <= 1e-8
+
+
+class TestCriticalValueCache:
+    """t and chi-square quantiles are memoised on the validated (p, df)."""
+
+    @pytest.mark.parametrize("quantile, core", [
+        (t_quantile, distributions._t_quantile),
+        (chisq_quantile, distributions._chisq_quantile),
+    ])
+    def test_cached_value_equals_fresh_value(self, quantile, core):
+        for p, df in [(0.975, 996), (0.025, 3), (0.6, 40)]:
+            fresh = core.__wrapped__(p, df)
+            assert quantile(p, df) == fresh
+            assert quantile(TailProbability(p), float(df)) == fresh
+
+    @pytest.mark.parametrize("quantile", [t_quantile, chisq_quantile])
+    @pytest.mark.parametrize("p, df", [([0.5], 3), (np.array([0.975]), 3), ({}, 3),
+                                       (0.975, [3]), (0.975, 2.5)])
+    def test_unhashable_or_bad_arguments_are_domain_errors(self, quantile, p, df):
+        with pytest.raises(DomainError):
+            quantile(p, df)
 
 
 @pytest.mark.parametrize("family_quantile,family_cdf,df", [

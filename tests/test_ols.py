@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_lens import (Dataset, InsufficientRowsError, RankDeficientError,
-                           STUDY_PRESETS, fit_ols, generate, vif)
+                           STUDY_PRESETS, conservative_ratio_ci, fit_ols, generate,
+                           ingest_csv, vif)
 from confound_lens.errors import DomainError
 
 import oracles
@@ -162,6 +165,53 @@ class TestVif:
         data = _data(x1=[1.0, 2.0, 3.0, 4.0], x2=[2.0, 4.0, 6.0, 8.0])
         with pytest.raises(RankDeficientError):
             vif(data, ["x1", "x2"])
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv"
+CONTROLS = ["age", "education_grade"]
+
+
+def _rescaled(data: Dataset, name: str, scale: float) -> Dataset:
+    values = data.values.copy()
+    values[:, data.names.index(name)] *= scale
+    return Dataset(data.names, values)
+
+
+class TestRankCheckIsUnitFree:
+    """The rank verdict reads the design with unit columns: a money column in
+    cents (poverty_index x 1e7 has a raw singular-value ratio of 9e-11) fits,
+    while a collinear or all-zero column is still rejected whatever its units."""
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_rescaled_column_fits_with_inverse_coefficient(self, scale):
+        data = ingest_csv(FIXTURE)
+        base = fit_ols(data, "smoker", ["poverty_index", *CONTROLS])
+        fit = fit_ols(_rescaled(data, "poverty_index", scale), "smoker",
+                      ["poverty_index", *CONTROLS])
+        assert fit.coefficient("poverty_index") == pytest.approx(
+            base.coefficient("poverty_index") / scale, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_rescaled_proxy_ratio_interval_fits(self, scale):
+        data = ingest_csv(FIXTURE)
+        base = conservative_ratio_ci(data, "smoker", "poverty_index", CONTROLS)
+        ci = conservative_ratio_ci(_rescaled(data, "poverty_index", scale), "smoker",
+                                   "poverty_index", CONTROLS)
+        assert ci.point_estimate * scale == pytest.approx(base.point_estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_exact_collinearity_is_caught_at_any_scale(self, scale):
+        data = ingest_csv(FIXTURE)
+        dup = scale * data.column("poverty_index")
+        values = np.column_stack([data.values, dup])
+        with pytest.raises(RankDeficientError):
+            fit_ols(Dataset((*data.names, "dup"), values), "smoker",
+                    ["poverty_index", "dup", *CONTROLS])
+
+    def test_all_zero_column_raises(self):
+        data = _data(y=[1.0, 2.0, 3.0, 4.0], x=[1.0, 2.0, 3.0, 5.0], z=[0.0] * 4)
+        with pytest.raises(RankDeficientError, match="all zero"):
+            fit_ols(data, "y", ["x", "z"])
 
 
 @st.composite
