@@ -14,12 +14,12 @@ fixed blocks of 16384 elements of the flattened input, with work rows
 allocated per call, so its memory does not grow with the input beyond the
 output.  Every element of a block goes through every main branch of the
 rational approximations; the branch it belongs to is then picked with a
-bitwise select on the uint64 bits, `b ^ ((a ^ b) & mask)`, where the mask
-comes from a sign bit.  Selection by a random boolean mask mispredicts about
-every other branch in the CPU and costs several times the arithmetic it
-saves; the bitwise select is exact, so each element still takes exactly the
-operations, in the same order, of its own branch, and the output bits do
-not depend on the blocking.
+bitwise select on the 64-bit patterns, `b ^ ((a ^ b) & mask)`, where the
+mask comes from a sign bit.  Gathering by a boolean mask drawn from random
+uniforms defeats the CPU's branch prediction and costs several times the
+arithmetic it saves.  The bitwise select is exact, so each element still
+takes exactly the operations, in the same order, of its own branch, and the
+output bits do not depend on the blocking.
 
 All functions are pure and reentrant.  t and chi-square critical values are
 memoised on their validated (p, df).
@@ -210,6 +210,7 @@ def normal_cdf(x: float) -> float:
 # Normal quantile: Acklam's rational approximation + one Newton step
 # ---------------------------------------------------------------------------
 
+# Horner order as above; each denominator ends in its constant term 1.0.
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,

@@ -331,11 +331,10 @@ class TestExitCodes:
         ("--eps-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
                         "--proxy", "x", "--eps-grid", "0,-1")),
         ("--t", ("sensitivity", "--t", "nan", "--df", "40")),
-        ("--t", ("sensitivity", "--t", "-inf", "--df", "40")),
+        ("--t", ("sensitivity", "--t", "inf", "--df", "40")),
         ("--df", ("sensitivity", "--t", "2.5", "--df", "0")),
-        ("--df", ("sensitivity", "--t", "2.5", "--df", "4.5")),
     ], ids=["q-nan", "q-inf", "simulate-csv-alpha", "n", "seed", "replicates", "level",
-            "eps-grid", "t-nan", "t-inf", "df-0", "df-fraction"])
+            "eps-grid", "t-nan", "t-inf", "df-0"])
     def test_bad_flag_value_is_usage_error(self, capsys, flag, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

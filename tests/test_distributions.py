@@ -104,6 +104,7 @@ def probability_arrays(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["grid53", "uniform", "deep-tail"]))
     if kind == "grid53":
+        # bins below the top one, whose centre rounds to exactly 1.0
         p = (rng.integers(0, 2 ** 53 - 1, n, dtype=np.uint64) + 0.5) / 2.0 ** 53
     elif kind == "uniform":
         p = rng.random(n)
