@@ -165,8 +165,9 @@ def exposure_stats_from_ols(fit: OlsFit, proxy_label: str) -> ExposureModelStats
     """Exposure-model moments extracted from a fitted A ~ X regression.
 
     var_a is backed out so that var_a * (1 - R2) equals the fit's residual
-    variance (denominator n - p): ratios computed from these stats then agree
-    exactly with coefficient / sigma^2 from the same fit.
+    variance (denominator n - p) up to rounding: ratios computed from these
+    stats can differ from coefficient / sigma^2 of the same fit in the last
+    bit, so reports of the ratio use the latter (ratio_ci._point_estimate).
     """
     r2 = fit.r_squared
     if 1.0 - r2 < DEGENERATE_TOL:

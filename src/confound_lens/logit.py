@@ -13,7 +13,7 @@ from .errors import (DomainError, InsufficientRowsError, NoVariationError,
 from .ols import RANK_TOL, _check_design_rank, _design
 
 MAX_ITERATIONS = 50
-GRADIENT_TOL = 1e-8
+DECREMENT_TOL = 1e-20  # on grad' info^-1 grad, which column units leave unchanged
 # |linear predictor| beyond this puts a fitted probability within e**-10 of 0/1
 SATURATION_ETA = 10.0
 
@@ -89,8 +89,6 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     _check_binary(y, f"outcome {outcome!r}")
     X, names = _design(data, regressors, include_intercept)
     n, p = X.shape
-    if p == 0:
-        raise DomainError("at least one regressor or an intercept is required")
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
     _check_design_rank(X)
@@ -98,16 +96,10 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     beta = np.zeros(p)
     eta = X @ beta
     ll = _log_likelihood(y, eta)
-    converged = False
-    iterations = 0
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    for iterations in range(MAX_ITERATIONS + 1):
         mu = _sigmoid(eta)
         grad = X.T @ (y - mu)
-        if np.max(np.abs(grad)) <= GRADIENT_TOL:
-            converged = True
-            iterations -= 1
-            break
         w = mu * (1.0 - mu)
         info = X.T @ (X * w[:, None])
         try:
@@ -117,6 +109,9 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
                 "weighted information matrix is singular; fitted probabilities "
                 "have collapsed to 0/1"
             ) from None
+        converged = bool(grad @ direction <= DECREMENT_TOL)
+        if converged or iterations == MAX_ITERATIONS:
+            break
 
         # slack scales with |ll|: at large n the log-likelihood's own rounding
         # noise sits near ulp(|ll|), and a fixed 1e-12 would trigger spurious
@@ -133,21 +128,11 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
         beta, eta, ll = candidate, cand_eta, cand_ll
         if _separated(X, eta):
             raise SeparationError(
-                f"iteration {iterations}: the rows with fitted probabilities not "
+                f"iteration {iterations + 1}: the rows with fitted probabilities not "
                 f"numerically 0 or 1 no longer determine the coefficients; data "
                 f"look quasi-completely separated")
-    else:
-        mu = _sigmoid(eta)
-        grad = X.T @ (y - mu)
-        converged = bool(np.max(np.abs(grad)) <= GRADIENT_TOL)
-        iterations = MAX_ITERATIONS
 
-    mu = _sigmoid(eta)
-    w = mu * (1.0 - mu)
-    info = X.T @ (X * w[:, None])
-    covariance = np.linalg.inv(info)
-    standard_errors = np.sqrt(np.diag(covariance))
-
+    standard_errors = np.sqrt(np.diag(np.linalg.inv(info)))
     tiny = np.finfo(np.float64).tiny
     probs = np.clip(mu, tiny, 1.0 - np.finfo(np.float64).epsneg)
 

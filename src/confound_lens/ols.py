@@ -63,6 +63,8 @@ class OlsFit:
 
 def _design(data: Dataset, regressors: list[str] | tuple[str, ...],
             include_intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    if not (regressors or include_intercept):
+        raise DomainError("at least one regressor or an intercept is required")
     X = data.matrix(list(regressors))
     names = tuple(regressors)
     if include_intercept:
@@ -77,16 +79,17 @@ def _check_rank(R: np.ndarray) -> None:
     R's columns have the design's column norms, so R with unit columns has
     the singular values of the design with unit columns, at p x p rather
     than n x p cost.  The verdict therefore does not depend on the units of
-    any column.
+    any column.  A stack of factors (b, p, p) fails if any of them does.
     """
-    norms = np.linalg.norm(R, axis=0)
+    norms = np.linalg.norm(R, axis=-2)
     if not norms.all():
         raise RankDeficientError("design is rank deficient (a column is all zero)")
-    svals = np.linalg.svd(R / norms, compute_uv=False)
-    if svals[-1] / svals[0] < RANK_TOL:
+    svals = np.linalg.svd(R / norms[..., None, :], compute_uv=False)
+    ratio = np.min(svals[..., -1] / svals[..., 0])
+    if ratio < RANK_TOL:
         raise RankDeficientError(
             f"design is numerically rank deficient (singular value ratio "
-            f"{svals[-1] / svals[0]:.2e} < {RANK_TOL:g} with unit columns)"
+            f"{ratio:.2e} < {RANK_TOL:g} with unit columns)"
         )
 
 
@@ -95,21 +98,30 @@ def _check_design_rank(X: np.ndarray) -> None:
 
 
 def _least_squares(X: np.ndarray, y: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """QR solve of y on X: coefficients, residuals, RSS and the R factor.
 
-    Every least-squares fit in the package goes through here.
-    """
-    n, p = X.shape
-    if p == 0:
-        raise DomainError("at least one regressor or an intercept is required")
+    Every least-squares fit goes through here, for one design X (n, p) and
+    y (n,) or a stack X (b, n, p) and y (b, n).  A fit's bits do not depend on
+    its stack if X is C-contiguous and y is a column view of one array."""
+    n, p = X.shape[-2:]
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
     Q, R = np.linalg.qr(X)
     _check_rank(R)
-    beta = np.linalg.solve(R, Q.T @ y)
-    residuals = y - X @ beta
-    return beta, residuals, float(residuals @ residuals), R
+    beta = np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
+    residuals = y - (X @ beta[..., None])[..., 0]
+    return beta, residuals, (residuals[..., None, :] @ residuals[..., None])[..., 0, 0], R
+
+
+def _standard_errors(beta: np.ndarray, R: np.ndarray, residual_variance):
+    """Standard errors and t-values (+-inf, or 0 for beta 0, where se is 0)."""
+    r_inv = np.linalg.inv(R)
+    xtx_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
+    se = np.sqrt(np.asarray(residual_variance)[..., None] * xtx_inv_diag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_values = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
+    return se, np.where((se == 0.0) & (beta == 0.0), 0.0, t_values)
 
 
 def _r_squared(y: np.ndarray, rss: float, include_intercept: bool) -> float:
@@ -131,16 +143,8 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     beta, residuals, rss, R = _least_squares(X, y)
     n, p = X.shape
     df_residual = n - p
-    residual_variance = rss / df_residual
-
-    r_inv = np.linalg.inv(R)
-    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    standard_errors = np.sqrt(residual_variance * xtx_inv_diag)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_values = np.where(standard_errors > 0.0, beta / standard_errors,
-                            np.sign(beta) * np.inf)
-    t_values = np.where((standard_errors == 0.0) & (beta == 0.0), 0.0, t_values)
+    residual_variance = float(rss) / df_residual
+    standard_errors, t_values = _standard_errors(beta, R, residual_variance)
     p_values = np.array([2.0 * (1.0 - t_cdf(abs(t), df_residual)) for t in t_values])
 
     return OlsFit(
@@ -150,7 +154,7 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         standard_errors=standard_errors,
         t_values=t_values,
         p_values=p_values,
-        r_squared=_r_squared(y, rss, include_intercept),
+        r_squared=_r_squared(y, float(rss), include_intercept),
         residual_variance=residual_variance,
         df_residual=df_residual,
         residuals=residuals,
@@ -170,10 +174,7 @@ def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
         raise DomainError("vif needs at least two regressors")
     X, _ = _design(data, regressors, include_intercept=True)
     _check_design_rank(X)
-    out = []
-    for j in range(1, X.shape[1]):
-        y = X[:, j]
-        _, _, rss, _ = _least_squares(np.delete(X, j, 1), y)
-        slack = 1.0 - _r_squared(y, rss, include_intercept=True)
-        out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
-    return out
+    ys = X.T[1:]  # row j - 1 is the column view X[:, j], refitted on the rest
+    _, _, rss, _ = _least_squares(np.stack([np.delete(X, j, 1) for j in range(1, len(X.T))]), ys)
+    slacks = [1.0 - _r_squared(y, float(r), include_intercept=True) for y, r in zip(ys, rss)]
+    return [float("inf") if slack <= 0.0 else 1.0 / slack for slack in slacks]

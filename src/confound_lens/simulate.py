@@ -9,10 +9,12 @@ standard normals scaled by the spec:
     Y = y_intercept + beta * A + theta_x * X + gamma * U + y_noise_sd * N(0, 1)
 
 Reproducibility: draws come from numpy's PCG64 keyed by a SeedSequence, and
-normals are produced by inverse-CDF transform of 53-bit uniforms (bin
-centers (j + 1/2) / 2^53), so the variate stream is pinned down by the
-generator alone, independent of any library's normal sampler.  Replicate r
-of a study uses the derived integer seed derive_replicate_seed(base, r).
+normals are produced by inverse-CDF transform of 53-bit uniforms, so the
+variate stream is pinned down by the generator alone, independent of any
+library's normal sampler.  Bin j maps to its centre (j + 1/2) / 2^53 for
+j < 2^52; above, j + 1/2 rounds half to even (to j or j + 1), and the top
+bin 2^53 - 1 is held at the largest double below 1.  Replicate r of a study
+uses the derived integer seed derive_replicate_seed(base, r).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 
 from .bias import BiasDecomposition, ExposureModelStats, ProxyModel, general_bias
 from .dataset import Dataset
-from .distributions import normal_quantile_vec
+from .distributions import _BLOCK, normal_quantile_vec
 from .errors import DomainError
-from .ols import fit_ols
+from .ols import _least_squares, _standard_errors
 from .sensitivity import (TreatmentSummary, partial_r2, robustness_value,
                           robustness_value_alpha)
 
@@ -163,6 +165,12 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_count(value, what: str) -> int:
+    if not isinstance(value, Integral) or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def derive_replicate_seed(base_seed: int, index: int) -> int:
     """Deterministic 64-bit seed for replicate `index` of a run keyed by
     `base_seed` (SeedSequence entropy pooling of the pair)."""
@@ -173,27 +181,32 @@ def derive_replicate_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _standard_normals(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    bins = rng.integers(0, _TWO53, size=(n, k), dtype=np.uint64)
-    u = (bins.astype(np.float64) + 0.5) / float(_TWO53)
-    return normal_quantile_vec(u)
+def _draws(spec: DgpSpec, n: int, seeds) -> np.ndarray:
+    """Rows (u, x, a, y) of study i drawn from a PCG64 keyed by seeds[i]: (b, n, 4)."""
+    u = np.empty((len(seeds), n, 4))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        u[i] = rng.integers(0, _TWO53, size=(n, 4), dtype=np.uint64)  # exact
+    u += 0.5
+    u /= float(_TWO53)
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)  # the top bin would round to 1
+    z = normal_quantile_vec(u)  # overwritten column by column with (u, x, a, y)
+    u = z[..., 0]
+    eps_x = spec.x_noise_sd * z[..., 1]
+    z[..., 1] = x = u + eps_x
+    z[..., 2] = a = spec.a_intercept + spec.a_on_u * u + spec.a_on_eps_x * eps_x \
+        + spec.a_noise_sd * z[..., 2]
+    z[..., 3] = spec.y_intercept + spec.beta * a + spec.theta_x * x + spec.gamma * u \
+        + spec.y_noise_sd * z[..., 3]
+    if not np.isfinite(z).all():
+        raise DomainError("the spec's coefficients overflow the simulated values")
+    return z
 
 
 def generate(spec: DgpSpec, n: int, seed: int) -> Dataset:
     """Draw n rows (u, x, a, y); bit-identical for identical (spec, n, seed)."""
-    if not isinstance(n, Integral) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    seed = _check_seed(seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    z = _standard_normals(rng, int(n), 4)
-    u = z[:, 0]
-    eps_x = spec.x_noise_sd * z[:, 1]
-    x = u + eps_x
-    a = spec.a_intercept + spec.a_on_u * u + spec.a_on_eps_x * eps_x \
-        + spec.a_noise_sd * z[:, 2]
-    y = spec.y_intercept + spec.beta * a + spec.theta_x * x + spec.gamma * u \
-        + spec.y_noise_sd * z[:, 3]
-    return Dataset(("u", "x", "a", "y"), np.column_stack([u, x, a, y]))
+    n = _check_count(n, "n")
+    return Dataset(("u", "x", "a", "y"), _draws(spec, n, [_check_seed(seed)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +231,30 @@ class ReplicateSummary:
     mean_rv_q_alpha: float
 
 
-def _one_replicate(spec: DgpSpec, n: int, seed: int, q: float, alpha: float):
-    data = generate(spec, n, seed)
-    fit = fit_ols(data, "y", ["a", "x"], include_intercept=True)
-    ts = TreatmentSummary.from_ols(fit, "a")
-    return (fit.coefficient("a"), fit.std_error("a"), partial_r2(ts),
-            robustness_value(ts, q), robustness_value_alpha(ts, q, alpha))
-
-
 def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
                     q: float = 1.0, alpha: float = 0.05) -> ReplicateSummary:
     """Repeatedly draw, fit Y ~ A, X, and summarize.
 
     Replicate r is seeded with derive_replicate_seed(seed, r), so extending
-    the number of replicates leaves earlier ones unchanged.
+    the number of replicates leaves earlier ones unchanged.  Replicates are
+    fitted in stacks of one sampler block, bit for bit as generate + fit_ols.
     """
-    if not isinstance(replicates, Integral) or replicates < 1:
-        raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
+    replicates = _check_count(replicates, "replicates")
     seed = _check_seed(seed)
-    replicates = int(replicates)
-    results = [_one_replicate(spec, n, derive_replicate_seed(seed, r), q, alpha)
-               for r in range(replicates)]
-
-    cols = np.array(results, dtype=np.float64)  # (replicates, 5), index order
-    beta_hats = cols[:, 0].copy()
-    std_errors = cols[:, 1].copy()
+    n = _check_count(n, "n")  # before it sizes a stack
+    seeds = [derive_replicate_seed(seed, r) for r in range(replicates)]
+    stack = max(1, _BLOCK // (4 * n))
+    stats = []
+    for start in range(0, replicates, stack):
+        draws = _draws(spec, n, seeds[start:start + stack])
+        X = np.insert(draws[..., 2:0:-1], 0, 1.0, axis=-1)  # C-contiguous: 1, a, x
+        beta, _, rss, R = _least_squares(X, draws[..., 3])
+        stats.append(np.stack([beta, *_standard_errors(beta, R, rss / (n - 3))])[..., 1])
+        del draws, X  # before the next stack is drawn
+    beta_hats, std_errors, t_values = np.concatenate(stats, axis=1)
+    summaries = [TreatmentSummary(t_value=float(t), df=n - 3) for t in t_values]
     return ReplicateSummary(
-        n=int(n),
+        n=n,
         replicates=replicates,
         q=float(q),
         alpha=float(alpha),
@@ -253,7 +263,7 @@ def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
         mean_beta_hat=float(np.mean(beta_hats)),
         sd_beta_hat=float(np.std(beta_hats, ddof=1)) if replicates > 1 else 0.0,
         mean_std_error=float(np.mean(std_errors)),
-        mean_partial_r2=float(np.mean(cols[:, 2])),
-        mean_rv_q=float(np.mean(cols[:, 3])),
-        mean_rv_q_alpha=float(np.mean(cols[:, 4])),
+        mean_partial_r2=float(np.mean([partial_r2(ts) for ts in summaries])),
+        mean_rv_q=float(np.mean([robustness_value(ts, q) for ts in summaries])),
+        mean_rv_q_alpha=float(np.mean([robustness_value_alpha(ts, q, alpha) for ts in summaries])),
     )

@@ -2,12 +2,17 @@ import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confound_lens import cli, robustness_value, TreatmentSummary
+from confound_lens import Dataset, cli, robustness_value, TreatmentSummary
 from confound_lens.cli import main
+from confound_lens.ingest import dataset_to_csv
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv")
 
@@ -213,6 +218,30 @@ class TestRatioCiCommand:
                                "--exposure", "smoker", "--proxy", "poverty_index",
                                "--level", "1.5")
         assert code == 1
+
+
+class TestBiasGridMatchesRatioCi:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 300),
+           exponents=st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+    def test_same_ratio_bit_for_bit(self, seed, n, exponents):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        a = rng.normal() * x + rng.normal(size=n)
+        data = Dataset.from_columns({"a": a * 10.0 ** exponents[0],
+                                     "x": x * 10.0 ** exponents[1]})
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, grid, report = (str(Path(tmp) / name)
+                                      for name in ("data.csv", "grid.csv", "ci.json"))
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                dataset_to_csv(data, fh)
+            common = ("--input", csv_path, "--exposure", "a", "--proxy", "x")
+            assert main(["bias-grid", *common, "--gamma-grid", "1", "--eps-grid", "1",
+                         "--output", grid]) == 0
+            assert main(["ratio-ci", *common, "--format", "json", "--output", report]) == 0
+            bias = float(Path(grid).read_text().splitlines()[1].split(",")[2])
+            strata = json.loads(Path(report).read_text())["strata"]
+        assert bias == strata[0]["ratio_ci"]["point_estimate"]
 
 
 class TestBiasGrid:

@@ -82,6 +82,29 @@ class TestFitLogit:
         np.testing.assert_allclose(rescaled.fitted_probabilities,
                                    fit.fitted_probabilities, rtol=1e-9)
 
+    @pytest.mark.parametrize("column, scale", [("age", 1e6), ("poverty_index", 1e7)])
+    def test_converges_in_the_unscaled_iteration_count_in_any_units(self, column, scale):
+        # IRLS stops on the Newton decrement, which a column's units leave
+        # unchanged; the raw score at these scales stays far above 1e-8
+        data = ingest_csv(FIXTURE)
+        regressors = ["age", "poverty_index"]
+        values = data.values.copy()
+        values[:, data.names.index(column)] *= scale
+        fit = fit_logit(data, "smoker", regressors)
+        rescaled = fit_logit(Dataset(data.names, values), "smoker", regressors)
+        assert fit.converged and rescaled.converged
+        assert rescaled.iterations == fit.iterations
+        assert rescaled.coefficient(column) == pytest.approx(
+            fit.coefficient(column) / scale, rel=1e-9)
+
+    def test_separation_by_a_finely_scaled_indicator_raises(self):
+        # the raw score falls below 1e-8 while |eta| is still about 9 and no
+        # row has saturated; the decrement keeps IRLS going until one does
+        flag = 1.8e-5 * np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        data = _data(flag=flag, y=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(SeparationError):
+            fit_logit(data, "y", ["flag"])
+
     def test_single_class_outcome(self):
         data = _data(x=[1.0, 2.0, 3.0], y=[1.0, 1.0, 1.0])
         with pytest.raises(NoVariationError):

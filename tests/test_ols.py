@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from confound_lens import (Dataset, InsufficientRowsError, RankDeficientError,
                            STUDY_PRESETS, conservative_ratio_ci, fit_ols, generate,
                            ingest_csv, vif)
+from confound_lens import ols
 from confound_lens.errors import DomainError
 
 import oracles
@@ -259,6 +260,40 @@ class TestVifMatchesNestedRefits:
             vif(data, ["x1", "x2", "x3"])
         with pytest.raises(oracles.VifOracleError, match="rows"):
             oracles.vif_nested(data.values)
+
+
+@st.composite
+def design_stacks(draw):
+    """(b, n, p + 1) arrays: a stack of designs with their outcome last,
+    columns on scales from 1e-6 to 1e6."""
+    b, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n = draw(st.integers(p + 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exponents = draw(st.lists(st.integers(-6, 6), min_size=p + 1, max_size=p + 1))
+    return rng.normal(size=(b, n, p + 1)) * 10.0 ** np.array(exponents, dtype=np.float64)
+
+
+class TestStackedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(design_stacks())
+    def test_each_fit_of_a_stack_is_bit_identical_to_its_single_fit(self, values):
+        X, y = np.ascontiguousarray(values[..., :-1]), values[..., -1]
+        df = X.shape[1] - X.shape[2]
+        stacked = ols._least_squares(X, y)
+        stacked_se = ols._standard_errors(stacked[0], stacked[3], stacked[2] / df)
+        for i in range(X.shape[0]):
+            single = ols._least_squares(X[i], y[i])
+            for a, b in zip(single, stacked):
+                assert np.asarray(a).tobytes() == b[i].tobytes()
+            single_se = ols._standard_errors(single[0], single[3], float(single[2]) / df)
+            for a, b in zip(single_se, stacked_se):
+                assert a.tobytes() == b[i].tobytes()
+
+    def test_rank_check_of_a_stack_fails_for_any_collinear_design(self):
+        X = np.random.default_rng(0).normal(size=(3, 20, 2))
+        X[1, :, 1] = 2.0 * X[1, :, 0]
+        with pytest.raises(RankDeficientError):
+            ols._least_squares(X, X[..., 0].copy())
 
 
 class TestDataset:

@@ -4,8 +4,9 @@ import pytest
 from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS,
                            derive_replicate_seed, exposure_stats_from_moments,
                            fit_ols, general_bias, generate, population_moments,
-                           population_ols_bias, replicate_study)
+                           population_ols_bias, replicate_study, simulate)
 from confound_lens.bias import ProxyModel
+from confound_lens.distributions import normal_quantile_vec
 from confound_lens.errors import DomainError
 
 
@@ -149,15 +150,65 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate(STUDY_PRESETS["study1"], 0, 1)
 
+    def test_top_bins_of_the_53_bit_grid_give_finite_draws(self, monkeypatch):
+        # bin j maps to (j + 1/2) / 2^53 only below 2^52; above, j + 1/2 rounds
+        # half to even, and the top bin 2^53 - 1 would reach u = 1 (z = inf)
+        # but is held at the largest double below 1
+        top, half = 2 ** 53 - 1, 2 ** 52
+        bins = np.array([[top, 0, top - 2, half + 1], [0, 0, half, half - 1]], dtype=np.uint64)
+
+        class FixedBins(np.random.Generator):
+            def integers(self, low, high, size, dtype):
+                assert (low, high, size) == (0, 2 ** 53, (2, 4))
+                return bins
+
+        monkeypatch.setattr(np.random, "Generator", FixedBins)
+        # u, a and y are the draws of columns 0, 2 and 3 themselves
+        spec = DgpSpec(beta=0.0, gamma=0.0, theta_x=0.0, a_on_u=0.0,
+                       a_noise_sd=1.0, x_noise_sd=0.0, y_noise_sd=1.0)
+        data = generate(spec, 2, 1)
+        expected_u = [[1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 0.5 + 2.0 ** -52],
+                      [2.0 ** -54, 0.5, 0.5 - 2.0 ** -54]]
+        drawn = np.column_stack([data.column(c) for c in ("u", "a", "y")])
+        assert np.isfinite(drawn).all()
+        np.testing.assert_array_equal(drawn, normal_quantile_vec(np.array(expected_u)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_spec_that_overflows_the_draws_is_a_domain_error(self):
+        spec = DgpSpec(beta=1e308, gamma=2.0, theta_x=0.0, a_on_u=2.0,
+                       a_noise_sd=0.05, x_noise_sd=0.5, y_noise_sd=1.5)
+        with pytest.raises(DomainError, match="overflow"):
+            generate(spec, 100, 1)
+        with pytest.raises(DomainError, match="overflow"):
+            replicate_study(spec, 100, 3, seed=1)
+
 
 class TestReplicateStudy:
     def test_single_replicate_reproduces_generate_plus_fit(self):
+        # n = 1000 stacks 4 replicates per sampler block; 10 replicates leave
+        # a last stack of 2
         spec = STUDY_PRESETS["study2"]
-        summary = replicate_study(spec, 300, 1, seed=5)
-        data = generate(spec, 300, derive_replicate_seed(5, 0))
-        fit = fit_ols(data, "y", ["a", "x"])
-        assert summary.beta_hats[0] == fit.coefficient("a")
-        assert summary.std_errors[0] == fit.std_error("a")
+        for n, replicates in [(300, 1), (1000, 10)]:
+            summary = replicate_study(spec, n, replicates, seed=5)
+            for r in range(replicates):
+                data = generate(spec, n, derive_replicate_seed(5, r))
+                fit = fit_ols(data, "y", ["a", "x"])
+                assert summary.beta_hats[r] == fit.coefficient("a")
+                assert summary.std_errors[r] == fit.std_error("a")
+
+    def test_results_do_not_depend_on_the_stack_size(self, monkeypatch):
+        spec, n, replicates = STUDY_PRESETS["study1"], 50, 23
+        summaries = []
+        for stack in (1, 7, replicates):
+            monkeypatch.setattr(simulate, "_BLOCK", 4 * n * stack)
+            summaries.append(replicate_study(spec, n, replicates, seed=3, q=0.5))
+        for other in summaries[1:]:
+            for name, value in vars(summaries[0]).items():
+                np.testing.assert_array_equal(getattr(other, name), value, err_msg=name)
+
+    def test_rejects_zero_rows_before_sizing_a_stack(self):
+        with pytest.raises(DomainError):
+            replicate_study(STUDY_PRESETS["study1"], 0, 3, seed=1)
 
     def test_extending_replicates_keeps_prefix(self):
         spec = STUDY_PRESETS["study1"]
