@@ -9,11 +9,14 @@ so and record new digests.
 
 import hashlib
 import json
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from confound_lens import STUDY_PRESETS, generate
+from confound_lens import (STUDY_PRESETS, Dataset, DgpSpec, conservative_ratio_ci, generate,
+                           population_bias_decomposition, population_ols_bias)
 from confound_lens.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,3 +144,71 @@ def test_simulate_replicates_from_spec_file_is_pinned(tmp_path, monkeypatch):
     report = json.loads(Path("out").read_text(encoding="utf-8"))
     assert "bias_decomposition" not in report["strata"][0]["population"]
     assert _sha256(Path("out").read_bytes()) == SPEC_REPLICATES_DIGEST
+
+
+# Population bias and its decomposition over random structural models, and the
+# collinearity ratio of random exposure fits: one line per case, either the
+# exact bits of every returned float or the class of the error raised.
+POPULATION_BIAS_DIGEST = "2b7dbdd0223fccf8e0ac7d889ab590b8fbfad498e90ac89bd9eee1f90ef8b436"
+RATIO_POINT_ESTIMATE_DIGEST = "bbd4ee854c41b4b3bbcc70b65d8eb649fa856dd73c1fae9645d0913b516c4da0"
+
+
+def _bits_or_error(fn, *args) -> str:
+    try:
+        values = fn(*args)
+    except Exception as exc:  # the error class is part of what is pinned
+        return type(exc).__name__
+    if isinstance(values, float):
+        values = (values,)
+    return " ".join(float(v).hex() for v in values)
+
+
+def _random_population_spec(rng) -> DgpSpec:
+    scale = 10.0 ** rng.uniform(-3, 3, size=4)
+    a_on_u = float(rng.uniform(-3, 3) * scale[0])
+    kind = rng.integers(4)  # correlated proxy noise, none, exact, near-exact collinearity
+    a_on_eps_x = float(rng.uniform(-2, 2) * scale[1]) if kind == 0 else 0.0
+    a_noise_sd = float(rng.uniform(0, 2) * scale[2]) if kind < 2 else 0.0
+    if kind == 2:
+        a_on_eps_x = a_on_u  # A = a_on_u X: exposure explained exactly by the proxy
+    elif kind == 3:
+        a_noise_sd = float(10.0 ** rng.uniform(-9, -5))
+    return DgpSpec(beta=float(rng.uniform(-5, 5)), gamma=float(rng.uniform(-5, 5) * scale[3]),
+                   theta_x=float(rng.uniform(-3, 3)), a_on_u=a_on_u,
+                   a_noise_sd=a_noise_sd,
+                   x_noise_sd=float(rng.uniform(0, 2)) if rng.random() < 0.9 else 0.0,
+                   y_noise_sd=float(rng.uniform(0.1, 2)), a_on_eps_x=a_on_eps_x,
+                   y_intercept=float(rng.uniform(-3, 3)),
+                   a_intercept=float(rng.uniform(-3, 3)))
+
+
+def _population_bias_lines():
+    rng = np.random.default_rng(20261018)
+    for i in range(1200):
+        spec = _random_population_spec(rng)
+        yield (f"{i} {_bits_or_error(population_ols_bias, spec)} | "
+               f"{_bits_or_error(lambda s: astuple(population_bias_decomposition(s)), spec)}")
+
+
+def _ratio_point_estimate_lines():
+    rng = np.random.default_rng(8)
+    for i in range(600):
+        n = int(rng.integers(10, 300))
+        x, z = rng.normal(size=(2, n))
+        a = rng.normal() * x + 0.5 * rng.normal() * z + rng.normal(size=n)
+        scales = 10.0 ** rng.uniform(-3, 3, size=3)
+        data = Dataset.from_columns({"a": a * scales[0], "x": x * scales[1],
+                                     "z": z * scales[2]})
+        controls = ["z"] if i % 3 == 0 else []
+        yield f"{i} " + _bits_or_error(
+            lambda: conservative_ratio_ci(data, "a", "x", controls).point_estimate)
+
+
+def test_population_bias_and_decomposition_are_pinned():
+    lines = "\n".join(_population_bias_lines())
+    assert _sha256(lines.encode()) == POPULATION_BIAS_DIGEST
+
+
+def test_ratio_point_estimate_is_pinned():
+    lines = "\n".join(_ratio_point_estimate_lines())
+    assert _sha256(lines.encode()) == RATIO_POINT_ESTIMATE_DIGEST
