@@ -15,7 +15,7 @@ import argparse
 from confound_lens import (STUDY_PRESETS, TreatmentSummary, conservative_ratio_ci,
                            fit_ols, generate, population_bias_decomposition,
                            population_moments, population_ols_bias,
-                           ratio_point_estimate, sensitivity_report, vif)
+                           sensitivity_report, vif)
 from confound_lens.simulate import exposure_stats_from_moments
 
 
@@ -45,9 +45,8 @@ def describe(name: str, n: int, seed: int) -> None:
 
     vifs = vif(data, ["a", "x"])
     interval = conservative_ratio_ci(data, "a", "x", [], 0.95)
-    point = ratio_point_estimate(data, "a", "x", [])
     print(f"exposure model: VIF(a) {vifs[0]:.3f}; collinearity ratio "
-          f"{point:.5f}, 95% conservative CI "
+          f"{interval.point_estimate:.5f}, 95% conservative CI "
           f"[{interval.lower:.5f}, {interval.upper:.5f}]")
     print()
 

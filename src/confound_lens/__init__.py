@@ -3,7 +3,7 @@ unmeasured confounding in linear regression analyses."""
 
 from .bias import (BiasDecomposition, ExposureModelStats, ProxyModel,
                    attenuation_slope, collinearity_ratio, exposure_stats_from_ols,
-                   general_bias, decompose_bias, residual_exposure_variance)
+                   general_bias, decompose_bias)
 from .dataset import Dataset
 from .distributions import (TailProbability, chisq_cdf, chisq_quantile, normal_cdf,
                             normal_quantile, t_cdf, t_quantile)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiasDecomposition", "ExposureModelStats", "ProxyModel", "attenuation_slope",
     "collinearity_ratio", "exposure_stats_from_ols", "general_bias",
-    "decompose_bias", "residual_exposure_variance",
+    "decompose_bias",
     "Dataset",
     "TailProbability", "chisq_cdf", "chisq_quantile", "normal_cdf",
     "normal_quantile", "t_cdf", "t_quantile",

@@ -13,6 +13,13 @@ beta by
 where beta_AX and R2_AX come from the regression of A on X.  When A and
 eps_X are uncorrelated the bias factors into confounding strength, proxy
 noise, and the observable collinearity ratio beta_AX / (Var(A)(1 - R2_AX)).
+
+Var(A)(1 - R2_AX) is the residual variance of that regression, so the
+exposure model is summarised by beta_AX, its residual variance and R2_AX,
+whether they come from a fit (exposure_stats_from_ols) or from population
+moments (simulate.exposure_stats_from_moments).  collinearity_ratio is the
+one expression of the ratio and holds the one degeneracy rule; every ratio
+and bias in the package goes through it.
 """
 
 from __future__ import annotations
@@ -53,20 +60,28 @@ class ProxyModel:
 
 @dataclass(frozen=True)
 class ExposureModelStats:
-    """Observable moments of the exposure model A ~ X."""
+    """The exposure model A ~ X: slope, residual variance Var(A)(1 - R2) and R2.
+
+    R2 = 1 is admitted, so that an exact fit reaches collinearity_ratio and
+    its degeneracy rule.
+    """
 
     beta_a_on_x: float
-    var_a: float
+    residual_variance: float
     r2_a_on_x: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_a_on_x", _finite(self.beta_a_on_x, "beta_a_on_x"))
-        object.__setattr__(self, "var_a", _finite(self.var_a, "var_a"))
-        object.__setattr__(self, "r2_a_on_x", _finite(self.r2_a_on_x, "r2_a_on_x"))
-        if self.var_a <= 0.0:
-            raise DomainError(f"var_a must be > 0, got {self.var_a}")
-        if not 0.0 <= self.r2_a_on_x < 1.0:
-            raise DomainError(f"r2_a_on_x must lie in [0, 1), got {self.r2_a_on_x}")
+        for name in ("beta_a_on_x", "residual_variance", "r2_a_on_x"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if self.residual_variance <= 0.0:
+            raise DomainError(f"residual_variance must be > 0, got {self.residual_variance}")
+        if not 0.0 <= self.r2_a_on_x <= 1.0:
+            raise DomainError(f"r2_a_on_x must lie in [0, 1], got {self.r2_a_on_x}")
+
+    @property
+    def var_a(self) -> float:
+        """Var(A), backed out of the residual variance (R2 < 1 only)."""
+        return self.residual_variance / (1.0 - self.r2_a_on_x)
 
 
 @dataclass(frozen=True)
@@ -88,20 +103,19 @@ class BiasDecomposition:
             raise DomainError("bias must equal the product of its three factors")
 
 
-def residual_exposure_variance(exposure: ExposureModelStats) -> float:
-    """Var(A) * (1 - R2_AX), the exposure variance left unexplained by X."""
+def collinearity_ratio(exposure: ExposureModelStats) -> float:
+    """beta_AX / (Var(A)(1 - R2_AX)): the observable amplification factor.
+
+    Raises DegenerateExposureError when 1 - R2_AX falls below DEGENERATE_TOL,
+    an exact fit included: X then explains A and the ratio is unbounded.
+    """
     slack = 1.0 - exposure.r2_a_on_x
     if slack < DEGENERATE_TOL:
         raise DegenerateExposureError(
             f"1 - R2_AX = {slack:.3e} is below {DEGENERATE_TOL:g}; the bias "
             "ratio is unbounded"
         )
-    return exposure.var_a * slack
-
-
-def collinearity_ratio(exposure: ExposureModelStats) -> float:
-    """beta_AX / (Var(A)(1 - R2_AX)): the observable amplification factor."""
-    return exposure.beta_a_on_x / residual_exposure_variance(exposure)
+    return exposure.beta_a_on_x / exposure.residual_variance
 
 
 def attenuation_slope(beta: float, var_xstar: float, var_eps_x: float) -> float:
@@ -136,46 +150,31 @@ def decompose_bias(proxy: ProxyModel, exposure: ExposureModelStats) -> BiasDecom
     )
 
 
-def general_bias(proxy: ProxyModel, exposure: ExposureModelStats,
-                 cov_a_x: float, var_x: float) -> float:
-    """Bias allowing Cov(A, eps_X) != 0, written with beta_AX = Cov(A,X)/Var(X).
+def general_bias(proxy: ProxyModel, exposure: ExposureModelStats) -> float:
+    """Bias allowing Cov(A, eps_X) != 0.
 
     Cov(A, eps_X) is unobservable in practice; this form is meant for
-    simulation settings where eps_X is known.  With cov_a_eps_x = 0 it takes
-    the identical arithmetic path as decompose_bias.
+    simulation settings where eps_X is known.  With cov_a_eps_x = 0 it is
+    decompose_bias(...).bias.
     """
-    cov_a_x = _finite(cov_a_x, "cov_a_x")
-    var_x = _finite(var_x, "var_x")
-    if var_x <= 0.0:
-        raise DomainError(f"var_x must be > 0, got {var_x}")
+    if proxy.cov_a_eps_x == 0.0:
+        return decompose_bias(proxy, exposure).bias
+    collinearity_ratio(exposure)  # the degeneracy rule, before var_a is backed out
     bound = math.sqrt(proxy.var_eps_x * exposure.var_a)
     if abs(proxy.cov_a_eps_x) > bound * (1.0 + 1e-9) + 1e-300:
         raise DomainError(
             f"|cov_a_eps_x| = {abs(proxy.cov_a_eps_x):g} violates the "
             f"Cauchy-Schwarz bound {bound:g}"
         )
-    beta_ax = cov_a_x / var_x
-    denom = residual_exposure_variance(exposure)
-    if proxy.cov_a_eps_x == 0.0:
-        return proxy.gamma * proxy.var_eps_x * (beta_ax / denom)
-    return proxy.gamma * (proxy.var_eps_x * beta_ax - proxy.cov_a_eps_x) / denom
+    return proxy.gamma * (proxy.var_eps_x * exposure.beta_a_on_x - proxy.cov_a_eps_x) \
+        / exposure.residual_variance
 
 
 def exposure_stats_from_ols(fit: OlsFit, proxy_label: str) -> ExposureModelStats:
-    """Exposure-model moments extracted from a fitted A ~ X regression.
-
-    var_a is backed out so that var_a * (1 - R2) equals the fit's residual
-    variance (denominator n - p) up to rounding: ratios computed from these
-    stats can differ from coefficient / sigma^2 of the same fit in the last
-    bit, so reports of the ratio use the latter (ratio_ci._point_estimate).
-    """
-    r2 = fit.r_squared
-    if 1.0 - r2 < DEGENERATE_TOL:
-        raise DegenerateExposureError(
-            f"exposure model has R^2 = {r2}; residual exposure variance vanishes"
-        )
+    """The exposure model of a fitted A ~ X (+ controls) regression: the
+    proxy's coefficient, the residual variance (denominator n - p) and R2."""
     return ExposureModelStats(
         beta_a_on_x=fit.coefficient(proxy_label),
-        var_a=fit.residual_variance / (1.0 - r2),
-        r2_a_on_x=r2,
+        residual_variance=fit.residual_variance,
+        r2_a_on_x=fit.r_squared,
     )

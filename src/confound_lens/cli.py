@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import exposure_stats_from_ols
 from .dataset import Dataset
 from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureError,
                      DomainError, EmptyAfterFilteringError, InsufficientRowsError,
@@ -35,7 +34,7 @@ from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureErro
 from .ingest import dataset_to_csv, ingest_csv, ingest_csv_stratified
 from .logit import c_statistic, fit_logit
 from .ols import fit_ols, vif
-from .ratio_ci import _point_estimate, component_level, conservative_ratio_ci
+from .ratio_ci import component_level, conservative_ratio_ci, ratio_point_estimate
 from .sensitivity import TreatmentSummary, sensitivity_report
 from .simulate import (STUDY_PRESETS, DgpSpec, generate, population_bias_decomposition,
                        population_moments, population_ols_bias, replicate_study)
@@ -302,10 +301,7 @@ def _handle_bias_grid(args) -> str:
     if args.format == "json":
         raise _UsageError("bias-grid writes CSV; it does not support --format json")
     [(_, data)] = _load_strata(args)
-    fit = fit_ols(data, args.exposure, [args.proxy] + args.controls,
-                  include_intercept=True)
-    exposure_stats_from_ols(fit, args.proxy)  # DegenerateExposureError as R^2 -> 1
-    ratio = _point_estimate(fit, args.proxy)  # ratio-ci's point estimate, bit for bit
+    ratio = ratio_point_estimate(data, args.exposure, args.proxy, args.controls)
     lines = ["gamma,var_eps_x,bias"]
     lines += [f"{g!r},{v!r},{g * v * ratio!r}"
               for g in args.gamma_grid for v in args.eps_grid]

@@ -10,7 +10,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (DomainError, InsufficientRowsError, NoVariationError,
                      SeparationError)
-from .ols import RANK_TOL, _check_design_rank, _design
+from .ols import RANK_TOL, _check_design_rank, _design, _NamedCoefficients
 
 MAX_ITERATIONS = 50
 DECREMENT_TOL = 1e-20  # on grad' info^-1 grad, which column units leave unchanged
@@ -19,7 +19,7 @@ SATURATION_ETA = 10.0
 
 
 @dataclass(frozen=True)
-class LogitFit:
+class LogitFit(_NamedCoefficients):
     outcome: str
     names: tuple[str, ...]
     coefficients: np.ndarray
@@ -29,12 +29,6 @@ class LogitFit:
     iterations: int
     log_likelihood: float
     n: int
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.names.index(name)])
-
-    def std_error(self, name: str) -> float:
-        return float(self.standard_errors[self.names.index(name)])
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:

@@ -25,8 +25,24 @@ INTERCEPT = "intercept"
 RANK_TOL = 1e-10
 
 
+class _NamedCoefficients:
+    """Per-coefficient values of a fit, looked up by coefficient name."""
+
+    def _index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"no coefficient {name!r}; have {', '.join(self.names)}") from None
+
+    def coefficient(self, name: str) -> float:
+        return float(self.coefficients[self._index(name)])
+
+    def std_error(self, name: str) -> float:
+        return float(self.standard_errors[self._index(name)])
+
+
 @dataclass(frozen=True)
-class OlsFit:
+class OlsFit(_NamedCoefficients):
     """Coefficients and inference for one least-squares fit."""
 
     outcome: str
@@ -41,18 +57,6 @@ class OlsFit:
     residuals: np.ndarray
     n: int
     include_intercept: bool
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no coefficient {name!r}; have {', '.join(self.names)}") from None
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self._index(name)])
-
-    def std_error(self, name: str) -> float:
-        return float(self.standard_errors[self._index(name)])
 
     def t_value(self, name: str) -> float:
         return float(self.t_values[self._index(name)])

@@ -1,7 +1,9 @@
 """Conservative confidence intervals for the collinearity ratio.
 
-The target is beta_AX / (Var(A)(1 - R2_AX)), estimated by the proxy's partial
-coefficient over the residual variance of the exposure model.  A Wald t
+The target is beta_AX / (Var(A)(1 - R2_AX)), estimated by
+bias.collinearity_ratio of the fitted exposure model: the proxy's partial
+coefficient over the model's residual variance, with the same degeneracy
+rule as every other ratio in the package.  A Wald t
 interval for the numerator and a chi-square interval for the denominator are
 each run at level 1 - (1 - level)/2 (a Bonferroni split of the miss
 probability), and the ratio interval is the min/max over the four endpoint
@@ -14,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bias import collinearity_ratio, exposure_stats_from_ols
 from .dataset import Dataset
 from .distributions import chisq_quantile, t_quantile
 from .errors import DomainError
-from .ols import OlsFit, fit_ols
+from .ols import fit_ols
 
 
 @dataclass(frozen=True)
@@ -72,22 +75,14 @@ def variance_ci(residual_variance: float, df: int, level: float) -> tuple[float,
     return (df * residual_variance / hi_quantile, df * residual_variance / lo_quantile)
 
 
-def _exposure_fit(data: Dataset, exposure: str, proxy: str,
-                  controls: list[str] | tuple[str, ...]) -> OlsFit:
-    return fit_ols(data, exposure, [proxy, *controls], include_intercept=True)
-
-
-def _point_estimate(fit: OlsFit, proxy: str) -> float:
-    return fit.coefficient(proxy) / fit.residual_variance
-
-
 def conservative_ratio_ci(data: Dataset, exposure: str, proxy: str,
                           controls: list[str] | tuple[str, ...] = (),
                           level: float = 0.95) -> RatioInterval:
     """Ratio interval with guaranteed coverage >= level under the model, and
     the point estimate, all from one fit of the exposure model."""
     level = _check_level(level)
-    fit = _exposure_fit(data, exposure, proxy, controls)
+    fit = fit_ols(data, exposure, [proxy, *controls])
+    point_estimate = collinearity_ratio(exposure_stats_from_ols(fit, proxy))
     sub = component_level(level)
     beta_int = wald_ci(fit.coefficient(proxy), fit.std_error(proxy),
                        fit.df_residual, sub)
@@ -99,11 +94,12 @@ def conservative_ratio_ci(data: Dataset, exposure: str, proxy: str,
         level=level,
         beta_interval=beta_int,
         variance_interval=var_int,
-        point_estimate=_point_estimate(fit, proxy),
+        point_estimate=point_estimate,
     )
 
 
 def ratio_point_estimate(data: Dataset, exposure: str, proxy: str,
                          controls: list[str] | tuple[str, ...] = ()) -> float:
-    """Partial proxy coefficient over residual variance, from a single fit."""
-    return _point_estimate(_exposure_fit(data, exposure, proxy, controls), proxy)
+    """The collinearity ratio of one fit of the exposure model."""
+    fit = fit_ols(data, exposure, [proxy, *controls])
+    return collinearity_ratio(exposure_stats_from_ols(fit, proxy))

@@ -25,7 +25,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .bias import BiasDecomposition, ExposureModelStats, ProxyModel, general_bias
+from .bias import (BiasDecomposition, ExposureModelStats, ProxyModel, decompose_bias,
+                   general_bias)
 from .dataset import Dataset
 from .distributions import _BLOCK, normal_quantile_vec
 from .errors import DomainError
@@ -125,31 +126,31 @@ def population_moments(spec: DgpSpec) -> PopulationMoments:
 
 
 def exposure_stats_from_moments(m: PopulationMoments) -> ExposureModelStats:
-    """Population exposure-model stats: beta_AX = Cov(A,X)/Var(X) and the
-    matching R^2."""
+    """Population exposure model: beta_AX = Cov(A,X)/Var(X), the matching R^2
+    and the residual variance Var(A)(1 - R^2)."""
+    r2 = m.cov_a_x ** 2 / (m.var_a * m.var_x)
     return ExposureModelStats(
         beta_a_on_x=m.cov_a_x / m.var_x,
-        var_a=m.var_a,
-        r2_a_on_x=m.cov_a_x ** 2 / (m.var_a * m.var_x),
+        residual_variance=m.var_a * (1.0 - r2),
+        r2_a_on_x=r2,
     )
+
+
+def _proxy_model(spec: DgpSpec, m: PopulationMoments) -> ProxyModel:
+    return ProxyModel(gamma=spec.gamma, var_eps_x=m.var_eps_x, cov_a_eps_x=m.cov_a_eps_x)
 
 
 def population_ols_bias(spec: DgpSpec) -> float:
     """Population-level coefficient bias of Y ~ A, X relative to beta."""
     m = population_moments(spec)
-    proxy = ProxyModel(gamma=spec.gamma, var_eps_x=m.var_eps_x,
-                       cov_a_eps_x=m.cov_a_eps_x)
-    return general_bias(proxy, exposure_stats_from_moments(m), m.cov_a_x, m.var_x)
+    return general_bias(_proxy_model(spec, m), exposure_stats_from_moments(m))
 
 
 def population_bias_decomposition(spec: DgpSpec) -> BiasDecomposition:
     """Three-factor decomposition at the population moments (requires the
     no-shared-noise case a_on_eps_x = 0)."""
-    from .bias import decompose_bias
     m = population_moments(spec)
-    proxy = ProxyModel(gamma=spec.gamma, var_eps_x=m.var_eps_x,
-                       cov_a_eps_x=m.cov_a_eps_x)
-    return decompose_bias(proxy, exposure_stats_from_moments(m))
+    return decompose_bias(_proxy_model(spec, m), exposure_stats_from_moments(m))
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,10 @@ def test_criterion_3_general_form_reduction():
         r2 = cov_ax ** 2 / (var_a * var_x)
         if r2 >= 1.0 - 1e-9:
             continue
-        exposure = ExposureModelStats(beta_a_on_x=cov_ax / var_x, var_a=var_a,
-                                      r2_a_on_x=r2)
+        exposure = ExposureModelStats(beta_a_on_x=cov_ax / var_x,
+                                      residual_variance=var_a * (1 - r2), r2_a_on_x=r2)
         proxy = ProxyModel(gamma=gamma, var_eps_x=var_eps, cov_a_eps_x=0.0)
-        assert general_bias(proxy, exposure, cov_ax, var_x) == \
+        assert general_bias(proxy, exposure) == \
             decompose_bias(proxy, exposure).bias
         checked += 1
 
@@ -122,8 +122,9 @@ def test_criterion_3_general_form_reduction():
         if abs(cov_a_eps) > math.sqrt(var_eps * var_a):
             continue
         proxy = ProxyModel(gamma=2.0, var_eps_x=var_eps, cov_a_eps_x=cov_a_eps)
-        exposure = ExposureModelStats(beta_a_on_x=beta_ax, var_a=var_a, r2_a_on_x=r2)
-        assert abs(general_bias(proxy, exposure, cov_ax, var_x)) <= 1e-12
+        exposure = ExposureModelStats(beta_a_on_x=beta_ax, residual_variance=var_a * (1 - r2),
+                                      r2_a_on_x=r2)
+        assert abs(general_bias(proxy, exposure)) <= 1e-12
     _report("criterion 3")
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from confound_lens import (BiasDecomposition, DegenerateExposureError,
                            ExposureModelStats, ProxyModel, attenuation_slope,
                            collinearity_ratio, exposure_stats_from_ols, fit_ols,
-                           general_bias, generate, decompose_bias,
-                           residual_exposure_variance)
+                           general_bias, generate, decompose_bias)
 from confound_lens.errors import DomainError
 from confound_lens.simulate import DgpSpec, STUDY_PRESETS
 
@@ -18,9 +17,11 @@ from confound_lens.simulate import DgpSpec, STUDY_PRESETS
 #           beta_AX = 1.6, R2 = 4/(4.0025*1.25), resid var = 0.8025
 #   study2: Var(A) = 0.25 + 0.64 = 0.89, Cov(A,X) = 0.5, Var(X) = 1.25
 #           beta_AX = 0.4, R2 = 0.25/(0.89*1.25), resid var = 0.69
-STUDY1_STATS = ExposureModelStats(beta_a_on_x=1.6, var_a=4.0025,
+STUDY1_STATS = ExposureModelStats(beta_a_on_x=1.6,
+                                  residual_variance=4.0025 * (1 - 4.0 / (4.0025 * 1.25)),
                                   r2_a_on_x=4.0 / (4.0025 * 1.25))
-STUDY2_STATS = ExposureModelStats(beta_a_on_x=0.4, var_a=0.89,
+STUDY2_STATS = ExposureModelStats(beta_a_on_x=0.4,
+                                  residual_variance=0.89 * (1 - 0.25 / (0.89 * 1.25)),
                                   r2_a_on_x=0.25 / (0.89 * 1.25))
 STUDY1_BIAS = 0.8 / 0.8025          # = 0.996885 to printed precision
 STUDY2_BIAS = 0.2 / 0.69            # = 0.289855
@@ -87,7 +88,8 @@ class TestDecomposeBias:
            beta=finite_floats, var_a=pos_floats, r2=r2_floats)
     @settings(max_examples=300, deadline=None)
     def test_factorization_is_exact(self, gamma, var_eps, beta, var_a, r2):
-        exposure = ExposureModelStats(beta_a_on_x=beta, var_a=var_a, r2_a_on_x=r2)
+        exposure = ExposureModelStats(beta_a_on_x=beta, residual_variance=var_a * (1 - r2),
+                                      r2_a_on_x=r2)
         d = decompose_bias(ProxyModel(gamma=gamma, var_eps_x=var_eps), exposure)
         assert d.bias == d.factor_gamma * d.factor_proxy_noise * d.factor_collinearity
 
@@ -97,7 +99,8 @@ class TestDecomposeBias:
            r2=r2_floats)
     @settings(max_examples=300, deadline=None)
     def test_sign_matches_gamma_times_beta(self, gamma, var_eps, beta, var_a, r2):
-        exposure = ExposureModelStats(beta_a_on_x=beta, var_a=var_a, r2_a_on_x=r2)
+        exposure = ExposureModelStats(beta_a_on_x=beta, residual_variance=var_a * (1 - r2),
+                                      r2_a_on_x=r2)
         d = decompose_bias(ProxyModel(gamma=gamma, var_eps_x=var_eps), exposure)
         assert math.copysign(1, d.bias) == math.copysign(1, gamma * beta) or d.bias == 0
 
@@ -108,7 +111,8 @@ class TestDecomposeBias:
         for beta_ax in np.linspace(0.1, 3.0, 12):
             var_a = resid + beta_ax ** 2  # Var(A) = resid + beta^2 Var(X), Var(X)=1
             r2 = beta_ax ** 2 / var_a
-            exposure = ExposureModelStats(beta_a_on_x=beta_ax, var_a=var_a, r2_a_on_x=r2)
+            exposure = ExposureModelStats(beta_a_on_x=beta_ax,
+                                          residual_variance=var_a * (1 - r2), r2_a_on_x=r2)
             biases.append(decompose_bias(
                 ProxyModel(gamma=2.0, var_eps_x=0.25), exposure).bias)
         assert all(b2 > b1 for b1, b2 in zip(biases, biases[1:]))
@@ -124,21 +128,22 @@ class TestGeneralBias:
         r2 = cov_ax ** 2 / (var_a * var_x)
         if not 0.0 <= r2 < 1.0 - 1e-9:
             return
-        exposure = ExposureModelStats(beta_a_on_x=cov_ax / var_x, var_a=var_a,
-                                      r2_a_on_x=r2)
+        exposure = ExposureModelStats(beta_a_on_x=cov_ax / var_x,
+                                      residual_variance=var_a * (1 - r2), r2_a_on_x=r2)
         proxy = ProxyModel(gamma=gamma, var_eps_x=var_eps, cov_a_eps_x=0.0)
-        assert general_bias(proxy, exposure, cov_ax, var_x) == \
+        assert general_bias(proxy, exposure) == \
             decompose_bias(proxy, exposure).bias
 
     def test_numerator_cancellation_gives_zero(self):
         # Cov(A, eps_X) = Var(eps_X) * beta_AX kills the bias entirely
         var_eps, cov_ax, var_x = 0.25, 0.5, 1.25
         beta_ax = cov_ax / var_x
-        exposure = ExposureModelStats(beta_a_on_x=beta_ax, var_a=0.89,
+        exposure = ExposureModelStats(beta_a_on_x=beta_ax,
+                                      residual_variance=0.89 * (1 - cov_ax ** 2 / (0.89 * var_x)),
                                       r2_a_on_x=cov_ax ** 2 / (0.89 * var_x))
         proxy = ProxyModel(gamma=2.0, var_eps_x=var_eps,
                            cov_a_eps_x=var_eps * beta_ax)
-        assert abs(general_bias(proxy, exposure, cov_ax, var_x)) <= 1e-12
+        assert abs(general_bias(proxy, exposure)) <= 1e-12
 
     def test_correlated_noise_dgp_matches_monte_carlo(self):
         # A loads on eps_X directly (0.5), breaking the factored form
@@ -154,10 +159,11 @@ class TestGeneralBias:
                                               abs=3 * fit.std_error("a"))
 
     def test_cauchy_schwarz_guard(self):
-        exposure = ExposureModelStats(beta_a_on_x=0.4, var_a=1.0, r2_a_on_x=0.2)
+        exposure = ExposureModelStats(beta_a_on_x=0.4, residual_variance=1.0 * (1 - 0.2),
+                                      r2_a_on_x=0.2)
         proxy = ProxyModel(gamma=1.0, var_eps_x=0.25, cov_a_eps_x=0.9)
         with pytest.raises(DomainError):
-            general_bias(proxy, exposure, 0.5, 1.25)
+            general_bias(proxy, exposure)
 
 
 class TestCollinearityRatio:
@@ -166,17 +172,29 @@ class TestCollinearityRatio:
         assert collinearity_ratio(STUDY2_STATS) == pytest.approx(STUDY2_RATIO, rel=1e-12)
 
     def test_zero_beta_gives_zero(self):
-        stats = ExposureModelStats(beta_a_on_x=0.0, var_a=2.0, r2_a_on_x=0.0)
+        stats = ExposureModelStats(beta_a_on_x=0.0, residual_variance=2.0 * (1 - 0.0),
+                                   r2_a_on_x=0.0)
         assert collinearity_ratio(stats) == 0.0
 
     def test_degenerate_exposure(self):
-        stats = ExposureModelStats(beta_a_on_x=1.0, var_a=1.0,
+        stats = ExposureModelStats(beta_a_on_x=1.0,
+                                   residual_variance=1.0 * (1 - (1.0 - 1e-13)),
                                    r2_a_on_x=1.0 - 1e-13)
         with pytest.raises(DegenerateExposureError):
             collinearity_ratio(stats)
 
+    def test_exact_fit_is_degenerate(self):
+        stats = ExposureModelStats(beta_a_on_x=2.0, residual_variance=1e-31, r2_a_on_x=1.0)
+        with pytest.raises(DegenerateExposureError):
+            collinearity_ratio(stats)
+        with pytest.raises(DegenerateExposureError):
+            general_bias(ProxyModel(gamma=1.0, var_eps_x=0.25, cov_a_eps_x=0.1), stats)
+
+    def test_var_a_is_backed_out_of_the_residual_variance(self):
+        assert STUDY1_STATS.var_a == pytest.approx(4.0025, rel=1e-15)
+
     def test_residual_exposure_variance_value(self):
-        assert residual_exposure_variance(STUDY1_STATS) == pytest.approx(0.8025, rel=1e-12)
+        assert STUDY1_STATS.residual_variance == pytest.approx(0.8025, rel=1e-12)
 
 
 class TestExposureStatsFromOls:
@@ -203,9 +221,11 @@ class TestValidation:
 
     def test_bad_exposure_stats(self):
         with pytest.raises(DomainError):
-            ExposureModelStats(beta_a_on_x=1.0, var_a=0.0, r2_a_on_x=0.5)
+            ExposureModelStats(beta_a_on_x=1.0, residual_variance=0.0 * (1 - 0.5),
+                               r2_a_on_x=0.5)
         with pytest.raises(DomainError):
-            ExposureModelStats(beta_a_on_x=1.0, var_a=1.0, r2_a_on_x=1.0)
+            ExposureModelStats(beta_a_on_x=1.0, residual_variance=1.0 * (1 - 1.0),
+                               r2_a_on_x=1.0)
 
     def test_decomposition_consistency_enforced(self):
         with pytest.raises(DomainError):

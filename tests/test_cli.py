@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confound_lens import Dataset, cli, robustness_value, TreatmentSummary
+from confound_lens import (Dataset, cli, collinearity_ratio, exposure_stats_from_ols,
+                           fit_ols, robustness_value, TreatmentSummary)
 from confound_lens.cli import main
 from confound_lens.ingest import dataset_to_csv
 
@@ -242,6 +243,7 @@ class TestBiasGridMatchesRatioCi:
             bias = float(Path(grid).read_text().splitlines()[1].split(",")[2])
             strata = json.loads(Path(report).read_text())["strata"]
         assert bias == strata[0]["ratio_ci"]["point_estimate"]
+        assert bias == collinearity_ratio(exposure_stats_from_ols(fit_ols(data, "a", ["x"]), "x"))
 
 
 class TestBiasGrid:
@@ -340,6 +342,21 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "fit", "--input", str(path),
                              "--outcome", "y", "--controls", "x1,x2")
         assert code == 3
+
+    def test_degenerate_exposure_exit_3_from_ratio_ci_and_bias_grid(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=2000)
+        path = tmp_path / "collinear.csv"
+        with open(path, "w", encoding="utf-8") as fh:  # 1 - R^2 about 1e-14
+            dataset_to_csv(Dataset.from_columns({"a": x + 1e-7 * rng.normal(size=2000),
+                                                 "x": x}), fh)
+        common = ("--input", str(path), "--exposure", "a", "--proxy", "x")
+        results = [run_cli(capsys, "ratio-ci", *common),
+                   run_cli(capsys, "bias-grid", *common, "--gamma-grid", "1",
+                           "--eps-grid", "1")]
+        assert [(code, out) for code, out, _ in results] == [(3, ""), (3, "")]
+        assert results[0][2] == results[1][2]
+        assert "ratio is unbounded" in results[0][2]
 
     def test_separation_exit_4(self, capsys, tmp_path):
         path = tmp_path / "sep.csv"

@@ -19,6 +19,12 @@ def _data(**cols):
 
 
 class TestFitLogit:
+    @pytest.mark.parametrize("lookup", ["coefficient", "std_error"])
+    def test_unknown_name_is_a_key_error_listing_the_names(self, lookup):
+        fit = fit_logit(_data(x=[-1.0, -1.0, 1.0, 1.0], y=[0.0, 1.0, 0.0, 1.0]), "y", ["x"])
+        with pytest.raises(KeyError, match="no coefficient 'nope'; have intercept, x"):
+            getattr(fit, lookup)("nope")
+
     def test_balanced_symmetric_data_gives_zero_coefficients(self):
         data = _data(x=[-1.0, -1.0, 1.0, 1.0], y=[0.0, 1.0, 0.0, 1.0])
         fit = fit_logit(data, "y", ["x"])

@@ -9,7 +9,7 @@ from confound_lens import (Dataset, RatioInterval, STUDY_PRESETS,
                            ratio_point_estimate, variance_ci, wald_ci)
 from confound_lens import ratio_ci
 from confound_lens.cli import main
-from confound_lens.errors import DomainError
+from confound_lens.errors import DegenerateExposureError, DomainError
 from confound_lens.ratio_ci import component_level
 
 import oracles
@@ -168,6 +168,16 @@ class TestRatioPointEstimate:
         fit = fit_ols(data, "a", ["x"], include_intercept=True)
         stats = exposure_stats_from_ols(fit, "x")
         assert ratio_point_estimate(data, "a", "x", []) == collinearity_ratio(stats)
+
+
+class TestDegenerateExposure:
+    def test_exact_fit_is_degenerate_not_a_domain_error(self):
+        x = np.random.default_rng(3).normal(size=50)
+        data = Dataset.from_columns({"a": 2.0 * x, "x": x})
+        with pytest.raises(DegenerateExposureError):
+            conservative_ratio_ci(data, "a", "x")
+        with pytest.raises(DegenerateExposureError):
+            ratio_point_estimate(data, "a", "x")
 
 
 class TestSingleExposureFit:

@@ -96,7 +96,7 @@ class TestPopulationBias:
             expected = general_bias(
                 ProxyModel(gamma=spec.gamma, var_eps_x=m.var_eps_x,
                            cov_a_eps_x=m.cov_a_eps_x),
-                exposure_stats_from_moments(m), m.cov_a_x, m.var_x)
+                exposure_stats_from_moments(m))
             assert population_ols_bias(spec) == expected
 
 
