@@ -27,19 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import checks
 from .errors import DegenerateExposureError, DomainError
 from .ols import OlsFit
 
 # Below this residual-variance fraction the denominator Var(A)(1 - R2) is
 # treated as zero and the ratio as unbounded.
 DEGENERATE_TOL = 1e-12
-
-
-def _finite(value, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -51,19 +45,18 @@ class ProxyModel:
     cov_a_eps_x: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _finite(self.gamma, "gamma"))
-        object.__setattr__(self, "var_eps_x", _finite(self.var_eps_x, "var_eps_x"))
-        object.__setattr__(self, "cov_a_eps_x", _finite(self.cov_a_eps_x, "cov_a_eps_x"))
-        if self.var_eps_x < 0.0:
-            raise DomainError(f"var_eps_x must be >= 0, got {self.var_eps_x}")
+        object.__setattr__(self, "gamma", checks.finite(self.gamma, "gamma"))
+        object.__setattr__(self, "var_eps_x", checks.at_least(self.var_eps_x, "var_eps_x", 0.0))
+        object.__setattr__(self, "cov_a_eps_x", checks.finite(self.cov_a_eps_x, "cov_a_eps_x"))
 
 
 @dataclass(frozen=True)
 class ExposureModelStats:
     """The exposure model A ~ X: slope, residual variance Var(A)(1 - R2) and R2.
 
-    R2 = 1 is admitted, so that an exact fit reaches collinearity_ratio and
-    its degeneracy rule.
+    R2 = 1 and a zero residual variance are admitted, so that an exact fit
+    reaches collinearity_ratio and its degeneracy rule.  An exposure without
+    variance has R2 = 1: all of its variation, none, is explained.
     """
 
     beta_a_on_x: float
@@ -71,12 +64,13 @@ class ExposureModelStats:
     r2_a_on_x: float
 
     def __post_init__(self):
-        for name in ("beta_a_on_x", "residual_variance", "r2_a_on_x"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        if self.residual_variance <= 0.0:
-            raise DomainError(f"residual_variance must be > 0, got {self.residual_variance}")
-        if not 0.0 <= self.r2_a_on_x <= 1.0:
+        for name, low in (("beta_a_on_x", -math.inf), ("residual_variance", 0.0),
+                          ("r2_a_on_x", 0.0)):
+            object.__setattr__(self, name, checks.at_least(getattr(self, name), name, low))
+        if self.r2_a_on_x > 1.0:
             raise DomainError(f"r2_a_on_x must lie in [0, 1], got {self.r2_a_on_x}")
+        if self.residual_variance == 0.0 and self.r2_a_on_x < 1.0:
+            raise DomainError("a zero residual_variance needs r2_a_on_x = 1")
 
     @property
     def var_a(self) -> float:
@@ -124,13 +118,9 @@ def attenuation_slope(beta: float, var_xstar: float, var_eps_x: float) -> float:
     The classical errors-in-variables shrinkage: the returned value is
     beta * Var(X*) / (Var(X*) + Var(eps_X)) and never exceeds |beta|.
     """
-    beta = _finite(beta, "beta")
-    var_xstar = _finite(var_xstar, "var_xstar")
-    var_eps_x = _finite(var_eps_x, "var_eps_x")
-    if var_xstar <= 0.0:
-        raise DomainError(f"var_xstar must be > 0, got {var_xstar}")
-    if var_eps_x < 0.0:
-        raise DomainError(f"var_eps_x must be >= 0, got {var_eps_x}")
+    beta = checks.finite(beta, "beta")
+    var_xstar = checks.at_least(var_xstar, "var_xstar", 0.0, strict=True)
+    var_eps_x = checks.at_least(var_eps_x, "var_eps_x", 0.0)
     return beta * (var_xstar / (var_xstar + var_eps_x))
 
 

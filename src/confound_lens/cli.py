@@ -1,10 +1,11 @@
 """Command-line front end: CSV in, JSON or text reports out.
 
-Each flag's value is checked by its argparse `type=` where it is declared, so
-a bad value is a usage error before any input is read; handlers check only
-rules that join several flags.  Every JSON report is built by `_report`,
-whose `config` echoes the parsed flags, and text is rendered from one table
-of report sections (`_TEXT_SECTIONS`).  Handlers look library functions up
+Each flag's value is checked by its argparse `type=` where it is declared,
+and every such type is built from the package's argument rules in `checks`,
+so a bad value is a usage error before any input is read; handlers check
+only rules that join several flags.  Every JSON report is built by
+`_report`, whose `config` echoes the parsed flags, and text is rendered from
+one table of report sections (`_TEXT_SECTIONS`).  Handlers look library functions up
 as module globals at call time, so they can be patched from outside.
 
 Exit codes: 0 success, 1 usage (bad flags, unknown columns, invalid
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checks
 from .dataset import Dataset
 from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureError,
                      DomainError, EmptyAfterFilteringError, InsufficientRowsError,
@@ -59,44 +60,45 @@ def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _grid(text: str) -> list[float]:
-    """Either "a,b,c" or "lo:hi:count"."""
+def _checked(rule, value, **bounds):
+    """`value` passed through a rule of `checks`; its DomainError becomes an
+    ArgumentTypeError, so argparse reports "argument --flag: <message>"."""
     try:
-        if ":" in text:
-            lo, hi, count = text.split(":")
-            count = int(count)
-            if count < 1:
-                raise ValueError
-            return [float(v) for v in np.linspace(float(lo), float(hi), count)]
-        values = [float(v) for v in text.split(",") if v.strip()]
-        if not values:
-            raise ValueError
-        return values
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse grid {text!r}; use 'a,b,c' or 'lo:hi:count'") from None
+        return rule(value, "value", **bounds)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse `type=` that converts a flag's text and rejects values
-    failing `ok`, so argparse reports "argument --flag: <rule>, got <text>"."""
+def _flag(rule, convert=float, **bounds):
+    """An argparse `type=` converting a flag's text and checking it by `rule`."""
     def check(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
-        return value
+        return _checked(rule, convert(text), **bounds)
     check.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return check
 
 
-_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly in (0, 1)")
-_FINITE = _checked(float, math.isfinite, "must be finite")
-_FINITE_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
-                       "must be finite and > 0")
-_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be >= 1")
-_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be >= 0")
-_NONNEGATIVE_GRID = _checked(_grid, lambda vs: all(v >= 0.0 for v in vs),
-                             "values must all be >= 0")
+def _grid(rule, **bounds):
+    """An argparse `type=` for "a,b,c" or "lo:hi:count", each value checked by `rule`."""
+    def grid(text: str) -> list[float]:
+        try:
+            if ":" in text:
+                lo, hi, count = text.split(":")
+                values = [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
+            else:
+                values = [float(v) for v in text.split(",") if v.strip()]
+            if not values:
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse grid {text!r}; use 'a,b,c' or 'lo:hi:count'") from None
+        return [_checked(rule, v, **bounds) for v in values]
+    return grid
+
+
+_FINITE = _flag(checks.finite)
+_POSITIVE = _flag(checks.at_least, low=0.0, strict=True)
+_PROBABILITY = _flag(checks.probability)
+_COUNT = _flag(checks.integer, int, low=1)
 
 
 def _build_parser() -> _Parser:
@@ -133,19 +135,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--outcome")
     p.add_argument("--exposure")
     p.add_argument("--t", type=_FINITE, help="treatment t-value (summary mode)")
-    p.add_argument("--df", type=_AT_LEAST_1, help="residual df (summary mode)")
-    p.add_argument("--estimate", type=float)
-    p.add_argument("--se", type=float)
-    p.add_argument("--q", type=_FINITE_POSITIVE, default=1.0)
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, default=0.05)
+    p.add_argument("--df", type=_COUNT, help="residual df (summary mode)")
+    p.add_argument("--estimate", type=_FINITE)
+    p.add_argument("--se", type=_flag(checks.at_least, low=0.0))
+    p.add_argument("--q", type=_POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=_PROBABILITY, default=0.05)
     p.set_defaults(handler=_handle_sensitivity)
 
     p = sub.add_parser("bias-grid", parents=[out, data],
                        help="CSV of implied bias over a (gamma, proxy-noise) grid")
     p.add_argument("--exposure", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--gamma-grid", type=_grid, default=[0.0, 0.5, 1.0, 1.5, 2.0])
-    p.add_argument("--eps-grid", type=_NONNEGATIVE_GRID,
+    p.add_argument("--gamma-grid", type=_grid(checks.finite), default=[0.0, 0.5, 1.0, 1.5, 2.0])
+    p.add_argument("--eps-grid", type=_grid(checks.at_least, low=0.0),
                    default=[0.0, 0.25, 0.5, 0.75, 1.0], help="grid of Var(eps_X) values")
     p.set_defaults(handler=_handle_bias_grid)
 
@@ -153,7 +155,7 @@ def _build_parser() -> _Parser:
                        help="conservative CI for coefficient / residual variance")
     p.add_argument("--exposure", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--level", type=_UNIT_INTERVAL, default=0.95)
+    p.add_argument("--level", type=_PROBABILITY, default=0.95)
     p.set_defaults(handler=_handle_ratio_ci)
 
     p = sub.add_parser("simulate", parents=[out],
@@ -161,11 +163,11 @@ def _build_parser() -> _Parser:
                             "replicate report with --replicates")
     p.add_argument("--preset", required=True,
                    help="study1, study2, or a path to a JSON model spec")
-    p.add_argument("--n", type=_AT_LEAST_1, default=1000)
-    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
-    p.add_argument("--replicates", type=_AT_LEAST_1)
-    p.add_argument("--q", type=_FINITE_POSITIVE, default=1.0)
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, default=0.05)
+    p.add_argument("--n", type=_COUNT, default=1000)
+    p.add_argument("--seed", type=_flag(checks.integer, int, low=0, high=2 ** 64), default=0)
+    p.add_argument("--replicates", type=_COUNT)
+    p.add_argument("--q", type=_POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=_PROBABILITY, default=0.05)
     p.set_defaults(handler=_handle_simulate)
 
     return parser

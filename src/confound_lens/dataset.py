@@ -46,10 +46,6 @@ class Dataset:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         try:
             j = self.names.index(name)

@@ -30,10 +30,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
+from . import checks
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -66,30 +66,11 @@ class TailProbability:
     p: float
 
     def __post_init__(self):
-        p = self.p
-        if not isinstance(p, Real) or isinstance(p, bool) or not math.isfinite(p):
-            raise DomainError(f"probability must be a finite real, got {p!r}")
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
-        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "p", checks.probability(self.p, "probability"))
 
 
 def _prob(p) -> float:
-    if isinstance(p, TailProbability):
-        return p.p
-    return TailProbability(p).p
-
-
-def _check_df(df) -> int:
-    if isinstance(df, Integral) and not isinstance(df, bool):
-        df = int(df)
-    elif isinstance(df, float) and df.is_integer():
-        df = int(df)
-    else:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    return df
+    return p.p if isinstance(p, TailProbability) else TailProbability(p).p
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +435,7 @@ def _gammainc_lower_reg(a: float, x: float) -> float:
 
 def t_cdf(x: float, df) -> float:
     """P(T_df <= x) via the regularized incomplete beta."""
-    df = _check_df(df)
+    df = checks.integer(df, "degrees of freedom", 1)
     if math.isnan(x):
         raise DomainError("t_cdf: x must not be NaN")
     if x == 0.0:
@@ -471,7 +452,7 @@ def _t_pdf(x: float, df: int) -> float:
 
 def t_quantile(p, df) -> float:
     """Inverse of t_cdf: |t_cdf(result, df) - p| <= 1e-9."""
-    return _t_quantile(_prob(p), _check_df(df))
+    return _t_quantile(_prob(p), checks.integer(df, "degrees of freedom", 1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -496,7 +477,7 @@ def _t_quantile(pv: float, df: int) -> float:
 
 def chisq_cdf(x: float, df) -> float:
     """P(X <= x) for a chi-square variable with df degrees of freedom."""
-    df = _check_df(df)
+    df = checks.integer(df, "degrees of freedom", 1)
     if math.isnan(x):
         raise DomainError("chisq_cdf: x must not be NaN")
     if x <= 0.0:
@@ -513,7 +494,7 @@ def _chisq_pdf(x: float, df: int) -> float:
 
 def chisq_quantile(p, df) -> float:
     """Inverse chi-square CDF, relative error <= 1e-8."""
-    return _chisq_quantile(_prob(p), _check_df(df))
+    return _chisq_quantile(_prob(p), checks.integer(df, "degrees of freedom", 1))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -129,9 +129,12 @@ def _standard_errors(beta: np.ndarray, R: np.ndarray, residual_variance):
 
 
 def _r_squared(y: np.ndarray, rss: float, include_intercept: bool) -> float:
-    """Centered R^2 with an intercept, against the zero model without."""
+    """Centered R^2 with an intercept, against the zero model without; 1 when
+    y has no variation to explain."""
+    if include_intercept and y.min() == y.max():  # y - mean(y) would be rounding noise
+        return 1.0
     tss = float(np.sum((y - y.mean()) ** 2)) if include_intercept else float(y @ y)
-    return 0.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+    return 1.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
 
 def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...],

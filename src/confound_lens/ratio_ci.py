@@ -13,9 +13,9 @@ usually strictly above it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from . import checks
 from .bias import collinearity_ratio, exposure_stats_from_ols
 from .dataset import Dataset
 from .distributions import chisq_quantile, t_quantile
@@ -43,32 +43,24 @@ class RatioInterval:
             raise DomainError("variance_interval must be positive and ordered")
 
 
-def _check_level(level: float) -> float:
-    level = float(level)
-    if not (math.isfinite(level) and 0.0 < level < 1.0):
-        raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
-    return level
-
-
 def component_level(level: float) -> float:
     """Level at which each of the two component intervals is run."""
-    return 1.0 - (1.0 - _check_level(level)) / 2.0
+    return 1.0 - (1.0 - checks.probability(level, "confidence level")) / 2.0
 
 
 def wald_ci(coef: float, se: float, df: int, level: float) -> tuple[float, float]:
     """coef +/- t_quantile(1 - (1-level)/2, df) * se."""
-    level = _check_level(level)
-    if not se > 0.0:
-        raise DomainError(f"standard error must be > 0, got {se}")
+    level = checks.probability(level, "confidence level")
+    coef = checks.finite(coef, "coef")
+    se = checks.at_least(se, "standard error", 0.0, strict=True)
     half = t_quantile(1.0 - (1.0 - level) / 2.0, df) * se
     return (coef - half, coef + half)
 
 
 def variance_ci(residual_variance: float, df: int, level: float) -> tuple[float, float]:
     """Chi-square interval for a residual variance on df degrees of freedom."""
-    level = _check_level(level)
-    if not residual_variance > 0.0:
-        raise DomainError(f"residual variance must be > 0, got {residual_variance}")
+    level = checks.probability(level, "confidence level")
+    residual_variance = checks.at_least(residual_variance, "residual variance", 0.0, strict=True)
     tail = (1.0 - level) / 2.0
     hi_quantile = chisq_quantile(1.0 - tail, df)
     lo_quantile = chisq_quantile(tail, df)
@@ -80,7 +72,7 @@ def conservative_ratio_ci(data: Dataset, exposure: str, proxy: str,
                           level: float = 0.95) -> RatioInterval:
     """Ratio interval with guaranteed coverage >= level under the model, and
     the point estimate, all from one fit of the exposure model."""
-    level = _check_level(level)
+    level = checks.probability(level, "confidence level")
     fit = fit_ols(data, exposure, [proxy, *controls])
     point_estimate = collinearity_ratio(exposure_stats_from_ols(fit, proxy))
     sub = component_level(level)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
+from . import checks
 from .distributions import t_quantile
 from .errors import DomainError
 from .ols import OlsFit
@@ -31,14 +31,13 @@ class TreatmentSummary:
     std_error: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.t_value):
-            raise DomainError(f"t_value must be finite, got {self.t_value!r}")
-        if not isinstance(self.df, Integral) or isinstance(self.df, bool) or self.df < 1:
-            raise DomainError(f"df must be a positive integer, got {self.df!r}")
-        object.__setattr__(self, "df", int(self.df))
+        object.__setattr__(self, "t_value", checks.finite(self.t_value, "t_value"))
+        object.__setattr__(self, "df", checks.integer(self.df, "df", 1))
+        if self.estimate is not None:
+            object.__setattr__(self, "estimate", checks.finite(self.estimate, "estimate"))
         if self.std_error is not None:
-            if self.std_error < 0.0:
-                raise DomainError(f"std_error must be >= 0, got {self.std_error}")
+            object.__setattr__(self, "std_error",
+                               checks.at_least(self.std_error, "std_error", 0.0))
             if self.std_error > 0.0 and self.estimate is not None:
                 implied = self.estimate / self.std_error
                 if abs(implied - self.t_value) > 1e-8 * max(1.0, abs(self.t_value)):
@@ -74,20 +73,6 @@ class SensitivityReport:
             raise DomainError("rv_q_alpha cannot exceed rv_q")
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"q must be > 0, got {q!r}")
-    return q
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
 def _rv_from_f(f: float) -> float:
     # Rationalized form of (sqrt(f^4 + 4 f^2) - f^2) / 2: exact for small f
     # and strictly below 1 for any finite f.
@@ -108,7 +93,7 @@ def partial_r2(ts: TreatmentSummary) -> float:
 def robustness_value(ts: TreatmentSummary, q: float = 1.0) -> float:
     """Confounder strength (as partial R^2 with treatment and outcome) that
     would remove a fraction q of the point estimate."""
-    q = _check_q(q)
+    q = checks.at_least(q, "q", 0.0, strict=True)
     f_q = q * abs(ts.t_value) / math.sqrt(ts.df)
     return _rv_from_f(f_q)
 
@@ -117,8 +102,8 @@ def robustness_value_alpha(ts: TreatmentSummary, q: float = 1.0,
                            alpha: float = 0.05) -> float:
     """Confounder strength that would make the q-reduced estimate lose
     significance at level alpha (two-sided)."""
-    q = _check_q(q)
-    alpha = _check_alpha(alpha)
+    q = checks.at_least(q, "q", 0.0, strict=True)
+    alpha = checks.probability(alpha, "alpha")
     if ts.df < 2:
         raise DomainError("robustness_value_alpha needs df >= 2")
     f_q = q * abs(ts.t_value) / math.sqrt(ts.df)
@@ -131,10 +116,12 @@ def robustness_value_alpha(ts: TreatmentSummary, q: float = 1.0,
 
 def sensitivity_report(ts: TreatmentSummary, q: float = 1.0,
                        alpha: float = 0.05) -> SensitivityReport:
+    q = checks.at_least(q, "q", 0.0, strict=True)
+    alpha = checks.probability(alpha, "alpha")
     return SensitivityReport(
         partial_r2=partial_r2(ts),
         rv_q=robustness_value(ts, q),
         rv_q_alpha=robustness_value_alpha(ts, q, alpha),
-        q=_check_q(q),
-        alpha=_check_alpha(alpha),
+        q=q,
+        alpha=alpha,
     )

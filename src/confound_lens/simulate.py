@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
+from . import checks
 from .bias import (BiasDecomposition, ExposureModelStats, ProxyModel, decompose_bias,
                    general_bias)
 from .dataset import Dataset
@@ -35,6 +35,7 @@ from .sensitivity import (TreatmentSummary, partial_r2, robustness_value,
                           robustness_value_alpha)
 
 _TWO53 = 2 ** 53
+_TWO64 = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,9 @@ class DgpSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"DgpSpec.{f.name} must be a finite number, got {v!r}")
-            object.__setattr__(self, f.name, float(v))
-        for name in ("a_noise_sd", "x_noise_sd", "y_noise_sd"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"DgpSpec.{name} must be >= 0")
+            low = 0.0 if f.name.endswith("_sd") else -math.inf
+            object.__setattr__(self, f.name,
+                               checks.at_least(getattr(self, f.name), f"DgpSpec.{f.name}", low))
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -127,8 +124,8 @@ def population_moments(spec: DgpSpec) -> PopulationMoments:
 
 def exposure_stats_from_moments(m: PopulationMoments) -> ExposureModelStats:
     """Population exposure model: beta_AX = Cov(A,X)/Var(X), the matching R^2
-    and the residual variance Var(A)(1 - R^2)."""
-    r2 = m.cov_a_x ** 2 / (m.var_a * m.var_x)
+    and the residual variance Var(A)(1 - R^2); R^2 = 1 when Var(A) = 0."""
+    r2 = m.cov_a_x ** 2 / (m.var_a * m.var_x) if m.var_a > 0.0 else 1.0
     return ExposureModelStats(
         beta_a_on_x=m.cov_a_x / m.var_x,
         residual_variance=m.var_a * (1.0 - r2),
@@ -157,28 +154,12 @@ def population_bias_decomposition(spec: DgpSpec) -> BiasDecomposition:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _check_seed(seed) -> int:
-    if not isinstance(seed, Integral) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
-def _check_count(value, what: str) -> int:
-    if not isinstance(value, Integral) or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def derive_replicate_seed(base_seed: int, index: int) -> int:
     """Deterministic 64-bit seed for replicate `index` of a run keyed by
     `base_seed` (SeedSequence entropy pooling of the pair)."""
-    base_seed = _check_seed(base_seed)
-    if not isinstance(index, Integral) or index < 0:
-        raise DomainError(f"replicate index must be a nonnegative integer, got {index!r}")
-    ss = np.random.SeedSequence(entropy=[base_seed, int(index)])
+    base_seed = checks.integer(base_seed, "seed", 0, _TWO64)
+    index = checks.integer(index, "replicate index", 0)
+    ss = np.random.SeedSequence(entropy=[base_seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -206,8 +187,9 @@ def _draws(spec: DgpSpec, n: int, seeds) -> np.ndarray:
 
 def generate(spec: DgpSpec, n: int, seed: int) -> Dataset:
     """Draw n rows (u, x, a, y); bit-identical for identical (spec, n, seed)."""
-    n = _check_count(n, "n")
-    return Dataset(("u", "x", "a", "y"), _draws(spec, n, [_check_seed(seed)])[0])
+    n = checks.integer(n, "n", 1)
+    seed = checks.integer(seed, "seed", 0, _TWO64)
+    return Dataset(("u", "x", "a", "y"), _draws(spec, n, [seed])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +222,10 @@ def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
     the number of replicates leaves earlier ones unchanged.  Replicates are
     fitted in stacks of one sampler block, bit for bit as generate + fit_ols.
     """
-    replicates = _check_count(replicates, "replicates")
-    seed = _check_seed(seed)
-    n = _check_count(n, "n")  # before it sizes a stack
+    replicates = checks.integer(replicates, "replicates", 1)
+    n = checks.integer(n, "n", 1)  # before it sizes a stack
+    q = checks.at_least(q, "q", 0.0, strict=True)  # before any replicate is drawn
+    alpha = checks.probability(alpha, "alpha")
     seeds = [derive_replicate_seed(seed, r) for r in range(replicates)]
     stack = max(1, _BLOCK // (4 * n))
     stats = []
@@ -257,8 +240,8 @@ def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
     return ReplicateSummary(
         n=n,
         replicates=replicates,
-        q=float(q),
-        alpha=float(alpha),
+        q=q,
+        alpha=alpha,
         beta_hats=beta_hats,
         std_errors=std_errors,
         mean_beta_hat=float(np.mean(beta_hats)),

@@ -223,9 +223,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             ExposureModelStats(beta_a_on_x=1.0, residual_variance=0.0 * (1 - 0.5),
                                r2_a_on_x=0.5)
-        with pytest.raises(DomainError):
-            ExposureModelStats(beta_a_on_x=1.0, residual_variance=1.0 * (1 - 1.0),
-                               r2_a_on_x=1.0)
+        # an exact fit is admitted and left to the degeneracy rule
+        exact = ExposureModelStats(beta_a_on_x=1.0, residual_variance=1.0 * (1 - 1.0),
+                                   r2_a_on_x=1.0)
+        with pytest.raises(DegenerateExposureError):
+            collinearity_ratio(exact)
 
     def test_decomposition_consistency_enforced(self):
         with pytest.raises(DomainError):

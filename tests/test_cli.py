@@ -346,17 +346,24 @@ class TestExitCodes:
     def test_degenerate_exposure_exit_3_from_ratio_ci_and_bias_grid(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.normal(size=2000)
-        path = tmp_path / "collinear.csv"
-        with open(path, "w", encoding="utf-8") as fh:  # 1 - R^2 about 1e-14
-            dataset_to_csv(Dataset.from_columns({"a": x + 1e-7 * rng.normal(size=2000),
-                                                 "x": x}), fh)
-        common = ("--input", str(path), "--exposure", "a", "--proxy", "x")
-        results = [run_cli(capsys, "ratio-ci", *common),
-                   run_cli(capsys, "bias-grid", *common, "--gamma-grid", "1",
-                           "--eps-grid", "1")]
-        assert [(code, out) for code, out, _ in results] == [(3, ""), (3, "")]
-        assert results[0][2] == results[1][2]
-        assert "ratio is unbounded" in results[0][2]
+        five = np.arange(1.0, 6.0)
+        tables = {
+            "collinear": {"a": x + 1e-7 * rng.normal(size=2000), "x": x},  # 1 - R^2 ~ 1e-14
+            "exact": {"a": 2.0 * five, "x": five},  # residual variance exactly 0
+            "constant": {"a": np.full(5, 3.0), "x": five},  # Var(A) = 0
+            "constant-0.1": {"a": np.full(7, 0.1), "x": np.arange(7.0)},  # mean(a) != 0.1
+        }
+        for name, columns in tables.items():
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                dataset_to_csv(Dataset.from_columns(columns), fh)
+            common = ("--input", str(path), "--exposure", "a", "--proxy", "x")
+            results = [run_cli(capsys, "ratio-ci", *common),
+                       run_cli(capsys, "bias-grid", *common, "--gamma-grid", "1",
+                               "--eps-grid", "1")]
+            assert [(code, out) for code, out, _ in results] == [(3, ""), (3, "")], name
+            assert results[0][2] == results[1][2]
+            assert "ratio is unbounded" in results[0][2], name
 
     def test_separation_exit_4(self, capsys, tmp_path):
         path = tmp_path / "sep.csv"
@@ -379,8 +386,18 @@ class TestExitCodes:
         ("--t", ("sensitivity", "--t", "nan", "--df", "40")),
         ("--t", ("sensitivity", "--t", "inf", "--df", "40")),
         ("--df", ("sensitivity", "--t", "2.5", "--df", "0")),
+        ("--estimate", ("sensitivity", "--t", "5", "--df", "99", "--estimate", "nan",
+                        "--se", "1", "--format", "json")),
+        ("--se", ("sensitivity", "--t", "5", "--df", "99", "--estimate", "1", "--se", "inf")),
+        ("--gamma-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
+                          "--proxy", "x", "--gamma-grid", "nan")),
+        ("--eps-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
+                        "--proxy", "x", "--eps-grid", "inf")),
+        ("--seed", ("simulate", "--preset", "study1", "--n", "5",
+                    "--seed", "18446744073709551616")),
     ], ids=["q-nan", "q-inf", "simulate-csv-alpha", "n", "seed", "replicates", "level",
-            "eps-grid", "t-nan", "t-inf", "df-0"])
+            "eps-grid", "t-nan", "t-inf", "df-0", "estimate-nan", "se-inf", "gamma-grid-nan",
+            "eps-grid-inf", "seed-2^64"])
     def test_bad_flag_value_is_usage_error(self, capsys, flag, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

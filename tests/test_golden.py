@@ -149,7 +149,7 @@ def test_simulate_replicates_from_spec_file_is_pinned(tmp_path, monkeypatch):
 # Population bias and its decomposition over random structural models, and the
 # collinearity ratio of random exposure fits: one line per case, either the
 # exact bits of every returned float or the class of the error raised.
-POPULATION_BIAS_DIGEST = "2b7dbdd0223fccf8e0ac7d889ab590b8fbfad498e90ac89bd9eee1f90ef8b436"
+POPULATION_BIAS_DIGEST = "2c7e29bbd039f5926d4b5bf791d950477e9740c6bad082aacefb4c3791876737"
 RATIO_POINT_ESTIMATE_DIGEST = "bbd4ee854c41b4b3bbcc70b65d8eb649fa856dd73c1fae9645d0913b516c4da0"
 
 

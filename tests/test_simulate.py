@@ -4,10 +4,11 @@ import pytest
 from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS,
                            derive_replicate_seed, exposure_stats_from_moments,
                            fit_ols, general_bias, generate, population_moments,
-                           population_ols_bias, replicate_study, simulate)
+                           population_bias_decomposition, population_ols_bias,
+                           replicate_study, simulate)
 from confound_lens.bias import ProxyModel
 from confound_lens.distributions import normal_quantile_vec
-from confound_lens.errors import DomainError
+from confound_lens.errors import DegenerateExposureError, DomainError
 
 
 def _random_spec(rng) -> DgpSpec:
@@ -87,6 +88,13 @@ class TestPopulationBias:
         spec = DgpSpec(beta=1, gamma=0.0, theta_x=0.3, a_on_u=1,
                        a_noise_sd=0.5, x_noise_sd=0.5, y_noise_sd=1)
         assert population_ols_bias(spec) == 0.0
+
+    def test_exposure_without_variance_is_degenerate(self):
+        spec = DgpSpec(beta=1, gamma=1, theta_x=0, a_on_u=0, a_noise_sd=0,
+                       x_noise_sd=0.5, y_noise_sd=1, a_on_eps_x=0)
+        for population_value in (population_ols_bias, population_bias_decomposition):
+            with pytest.raises(DegenerateExposureError):
+                population_value(spec)
 
     def test_equals_general_bias_fed_with_moments_exactly(self):
         rng = np.random.default_rng(12)
