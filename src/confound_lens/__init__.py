@@ -5,8 +5,8 @@ from .bias import (BiasDecomposition, ExposureModelStats, ProxyModel,
                    attenuation_slope, collinearity_ratio, exposure_stats_from_ols,
                    general_bias, decompose_bias)
 from .dataset import Dataset
-from .distributions import (TailProbability, chisq_cdf, chisq_quantile, normal_cdf,
-                            normal_quantile, t_cdf, t_quantile)
+from .distributions import (chisq_cdf, chisq_quantile, normal_cdf, normal_quantile, t_cdf,
+                            t_quantile)
 from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureError,
                      DomainError, EmptyAfterFilteringError, InsufficientRowsError,
                      NoVariationError, ParseError, RankDeficientError,
@@ -31,8 +31,8 @@ __all__ = [
     "collinearity_ratio", "exposure_stats_from_ols", "general_bias",
     "decompose_bias",
     "Dataset",
-    "TailProbability", "chisq_cdf", "chisq_quantile", "normal_cdf",
-    "normal_quantile", "t_cdf", "t_quantile",
+    "chisq_cdf", "chisq_quantile", "normal_cdf", "normal_quantile", "t_cdf",
+    "t_quantile",
     "ConfoundLensError", "ConvergenceError", "DegenerateExposureError",
     "DomainError", "EmptyAfterFilteringError", "InsufficientRowsError",
     "NoVariationError", "ParseError", "RankDeficientError", "SeparationError",

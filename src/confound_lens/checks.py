@@ -15,15 +15,23 @@ from numbers import Integral, Real
 from .errors import DomainError
 
 
-def finite(value, what: str) -> float:
-    """value as a finite float."""
+def real(value, what: str) -> float:
+    """value as a float that is not NaN; +-inf is allowed."""
     # type() first: the abstract-class checks cost about a microsecond each
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise DomainError(f"{what} must be a real number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
-        number = math.inf
+        number = math.inf if value > 0 else -math.inf
+    if math.isnan(number):
+        raise DomainError(f"{what} must not be NaN, got {value!r}")
+    return number
+
+
+def finite(value, what: str) -> float:
+    """value as a finite float."""
+    number = real(value, what)
     if not math.isfinite(number):
         raise DomainError(f"{what} must be finite, got {value!r}")
     return number

@@ -107,17 +107,21 @@ def _build_parser() -> _Parser:
                                  "unmeasured confounding under proxy adjustment")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    out = argparse.ArgumentParser(add_help=False)
+    # bias-grid writes one CSV table: it takes the output and input flags
+    # but none of the report flags (--format, --deterministic, --stratify)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default="-", help="output path, '-' for stdout")
+    out = argparse.ArgumentParser(add_help=False, parents=[output])
     out.add_argument("--format", choices=("text", "json"), default="text")
-    out.add_argument("--output", default="-", help="output path, '-' for stdout")
     out.add_argument("--deterministic", action="store_true",
                      help="omit timestamps so identical runs are byte-identical")
 
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--input", help="CSV path, '-' for stdin")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", help="CSV path, '-' for stdin")
+    source.add_argument("--controls", type=_comma_list, default=[],
+                        help="comma-separated regressor columns")
+    data = argparse.ArgumentParser(add_help=False, parents=[source])
     data.add_argument("--stratify", help="run independently per value of this column")
-    data.add_argument("--controls", type=_comma_list, default=[],
-                      help="comma-separated regressor columns")
 
     p = sub.add_parser("fit", parents=[out, data], help="OLS with inference and VIFs")
     p.add_argument("--outcome", required=True)
@@ -142,7 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=_PROBABILITY, default=0.05)
     p.set_defaults(handler=_handle_sensitivity)
 
-    p = sub.add_parser("bias-grid", parents=[out, data],
+    p = sub.add_parser("bias-grid", parents=[output, source],
                        help="CSV of implied bias over a (gamma, proxy-noise) grid")
     p.add_argument("--exposure", required=True)
     p.add_argument("--proxy", required=True)
@@ -177,10 +181,14 @@ def _build_parser() -> _Parser:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_strata(args) -> list[tuple[str | None, Dataset]]:
+def _source(args):
     if not args.input:
         raise _UsageError("--input is required (use '-' for stdin)")
-    source = sys.stdin if args.input == "-" else args.input
+    return sys.stdin if args.input == "-" else args.input
+
+
+def _load_strata(args) -> list[tuple[str | None, Dataset]]:
+    source = _source(args)
     if args.stratify:
         return ingest_csv_stratified(source, args.stratify)
     return [(None, ingest_csv(source))]
@@ -242,7 +250,7 @@ def _handle_fit(args) -> str:
     regressors = _regressors(args)
     strata = []
     for label, data in _load_strata(args):
-        fit = fit_ols(data, args.outcome, regressors, include_intercept=True)
+        fit = fit_ols(data, args.outcome, regressors)
         vifs = None
         if len(regressors) >= 2:
             vifs = {name: float(v) for name, v in zip(regressors, vif(data, regressors))}
@@ -254,7 +262,7 @@ def _handle_logit(args) -> str:
     regressors = _regressors(args)
     strata = []
     for label, data in _load_strata(args):
-        fit = fit_logit(data, args.outcome, regressors, include_intercept=True)
+        fit = fit_logit(data, args.outcome, regressors)
         if not fit.converged:
             raise ConvergenceError(
                 f"logistic fit did not converge in {fit.iterations} iterations"
@@ -265,7 +273,7 @@ def _handle_logit(args) -> str:
             "converged": fit.converged,
             "iterations": int(fit.iterations),
             "log_likelihood": float(fit.log_likelihood),
-            "c_statistic_in_sample": float(c_statistic(fit, data.column(args.outcome))),
+            "c_statistic_in_sample": float(c_statistic(fit.fitted_probabilities, data.column(args.outcome))),
             "coefficients": _coefficient_rows(fit, estimate=fit.coefficients,
                                               std_error=fit.standard_errors),
         }}))
@@ -285,8 +293,7 @@ def _handle_sensitivity(args) -> str:
                               "(or use --t/--df)")
         treatments = []
         for label, data in _load_strata(args):
-            fit = fit_ols(data, args.outcome, [args.exposure] + args.controls,
-                          include_intercept=True)
+            fit = fit_ols(data, args.outcome, [args.exposure] + args.controls)
             treatments.append((label, {"ols": _ols_block(fit)},
                                TreatmentSummary.from_ols(fit, args.exposure)))
     return _report(args, [
@@ -298,11 +305,7 @@ def _handle_sensitivity(args) -> str:
 
 
 def _handle_bias_grid(args) -> str:
-    if args.stratify:
-        raise _UsageError("bias-grid does not support --stratify")
-    if args.format == "json":
-        raise _UsageError("bias-grid writes CSV; it does not support --format json")
-    [(_, data)] = _load_strata(args)
+    data = ingest_csv(_source(args))
     ratio = ratio_point_estimate(data, args.exposure, args.proxy, args.controls)
     lines = ["gamma,var_eps_x,bias"]
     lines += [f"{g!r},{v!r},{g * v * ratio!r}"

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import checks
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 
 __all__ = [
-    "TailProbability",
     "normal_cdf",
     "normal_quantile",
     "normal_quantile_vec",
@@ -57,20 +54,6 @@ _NORM_PDF_C = 0.3989422804014327  # 1/sqrt(2*pi)
 # Gamma shape above which series/continued-fraction iteration counts would
 # exceed _MAX_ITER near x ~ a; quadrature takes over there.
 _GAMMA_QUAD_SHAPE = 700.0
-
-
-@dataclass(frozen=True)
-class TailProbability:
-    """A probability strictly inside (0, 1), checked at construction."""
-
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", checks.probability(self.p, "probability"))
-
-
-def _prob(p) -> float:
-    return p.p if isinstance(p, TailProbability) else TailProbability(p).p
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +161,8 @@ def _erfc(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
-    if math.isnan(x):
-        raise DomainError("normal_cdf: x must not be NaN")
     work = np.empty((7, 1))
-    work[0] = np.float64(-x) / _SQRT2
+    work[0] = -checks.real(x, "x") / _SQRT2
     with _discarded_branch_errstate():
         _erfc(work[0], work[1], work[2:])
     return float(0.5 * work[1, 0])
@@ -273,7 +254,7 @@ def normal_quantile_vec(p: np.ndarray) -> np.ndarray:
 
 def normal_quantile(p) -> float:
     """z such that normal_cdf(z) = p; absolute error well below 1e-9."""
-    return float(normal_quantile_vec(np.array([_prob(p)]))[0])
+    return float(normal_quantile_vec(np.array([checks.probability(p, "probability")]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +417,7 @@ def _gammainc_lower_reg(a: float, x: float) -> float:
 def t_cdf(x: float, df) -> float:
     """P(T_df <= x) via the regularized incomplete beta."""
     df = checks.integer(df, "degrees of freedom", 1)
-    if math.isnan(x):
-        raise DomainError("t_cdf: x must not be NaN")
+    x = checks.real(x, "x")
     if x == 0.0:
         return 0.5
     xb = df / (df + x * x)  # handles x = +-inf (xb -> 0)
@@ -452,7 +432,8 @@ def _t_pdf(x: float, df: int) -> float:
 
 def t_quantile(p, df) -> float:
     """Inverse of t_cdf: |t_cdf(result, df) - p| <= 1e-9."""
-    return _t_quantile(_prob(p), checks.integer(df, "degrees of freedom", 1))
+    return _t_quantile(checks.probability(p, "probability"),
+                       checks.integer(df, "degrees of freedom", 1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -478,10 +459,11 @@ def _t_quantile(pv: float, df: int) -> float:
 def chisq_cdf(x: float, df) -> float:
     """P(X <= x) for a chi-square variable with df degrees of freedom."""
     df = checks.integer(df, "degrees of freedom", 1)
-    if math.isnan(x):
-        raise DomainError("chisq_cdf: x must not be NaN")
+    x = checks.real(x, "x")
     if x <= 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     return _gammainc_lower_reg(0.5 * df, 0.5 * x)
 
 
@@ -494,7 +476,8 @@ def _chisq_pdf(x: float, df: int) -> float:
 
 def chisq_quantile(p, df) -> float:
     """Inverse chi-square CDF, relative error <= 1e-8."""
-    return _chisq_quantile(_prob(p), checks.integer(df, "degrees of freedom", 1))
+    return _chisq_quantile(checks.probability(p, "probability"),
+                           checks.integer(df, "degrees of freedom", 1))
 
 
 @functools.lru_cache(maxsize=1024)

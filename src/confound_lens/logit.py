@@ -71,9 +71,9 @@ def _separated(X: np.ndarray, eta: np.ndarray) -> bool:
     return bool(svals[-1] <= RANK_TOL * svals[0])
 
 
-def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...],
-              include_intercept: bool = True) -> LogitFit:
-    """Maximum-likelihood logistic fit with step-halving IRLS.
+def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> LogitFit:
+    """Maximum-likelihood logistic fit of `outcome` on an intercept and
+    `regressors`, by step-halving IRLS.
 
     Standard errors come from the inverse observed information at the
     optimum.  Raises SeparationError once the unsaturated rows stop
@@ -81,7 +81,7 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     """
     y = data.column(outcome)
     _check_binary(y, f"outcome {outcome!r}")
-    X, names = _design(data, regressors, include_intercept)
+    X, names = _design(data, regressors)
     n, p = X.shape
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
@@ -156,16 +156,14 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def c_statistic(fit_or_scores, outcome) -> float:
-    """Probability that a random positive case outranks a random negative one.
+def c_statistic(scores, outcome) -> float:
+    """Probability that a random positive case outranks a random negative one
+    by `scores`, such as a fit's `fitted_probabilities`.
 
     Ties count one half (the Mann-Whitney convention), so a constant score
     gives exactly 0.5.  Computed by sort-and-rank in O(n log n).
     """
-    if isinstance(fit_or_scores, LogitFit):
-        scores = fit_or_scores.fitted_probabilities
-    else:
-        scores = np.asarray(fit_or_scores, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     if scores.shape != y.shape:
         raise DomainError("scores and outcome must have the same length")

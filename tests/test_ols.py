@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +26,20 @@ def _data(**cols):
 
 
 class TestFitOls:
-    def test_exact_fit_without_intercept(self):
-        data = _data(y=[2.0, 4.0, 6.0], x=[1.0, 2.0, 3.0])
-        fit = fit_ols(data, "y", ["x"], include_intercept=False)
+    def test_exact_fit(self):
+        data = _data(y=[3.0, 5.0, 7.0, 9.0], x=[1.0, 2.0, 3.0, 4.0])
+        fit = fit_ols(data, "y", ["x"])
+        assert fit.coefficient("intercept") == pytest.approx(1.0, abs=1e-12)
         assert fit.coefficient("x") == pytest.approx(2.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
+        # zero residuals: infinite t-values, whose p-values are exactly 0
+        assert list(fit.t_values) == [math.inf, math.inf]
+        assert list(fit.p_values) == [0.0, 0.0]
 
     def test_intercept_only_residual_variance_is_sample_variance(self):
         data = _data(y=[1.0, 2.0, 3.0])
-        fit = fit_ols(data, "y", [], include_intercept=True)
+        fit = fit_ols(data, "y", [])
         assert fit.residual_variance == pytest.approx(1.0, abs=1e-14)
 
     def test_duplicated_regressor_is_rank_deficient(self):
@@ -46,17 +51,12 @@ class TestFitOls:
     def test_insufficient_rows(self):
         data = _data(y=[1.0, 2.0, 3.0], a=[1.0, 0.0, 2.0], b=[0.0, 1.0, 1.5])
         with pytest.raises(InsufficientRowsError):
-            fit_ols(data, "y", ["a", "b"], include_intercept=True)
+            fit_ols(data, "y", ["a", "b"])
 
     def test_unknown_column(self):
         data = _data(y=[1.0, 2.0], x=[0.0, 1.0])
         with pytest.raises(KeyError):
             fit_ols(data, "y", ["nope"])
-
-    def test_no_regressors_no_intercept(self):
-        data = _data(y=[1.0, 2.0])
-        with pytest.raises(DomainError):
-            fit_ols(data, "y", [], include_intercept=False)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_study1_sample_recovers_population_coefficient(self, seed):
@@ -82,7 +82,7 @@ class TestAgainstNormalEquations:
         cols = {f"x{j}": X[:, j] for j in range(p)}
         cols["y"] = y
         fit = fit_ols(Dataset.from_columns(cols), "y",
-                      [f"x{j}" for j in range(p)], include_intercept=True)
+                      [f"x{j}" for j in range(p)])
         expected = oracles.ols_normal_equations(
             np.column_stack([np.ones(n), X]), y)
         np.testing.assert_allclose(fit.coefficients, expected, rtol=1e-9)

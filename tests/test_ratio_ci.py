@@ -165,7 +165,7 @@ class TestRatioPointEstimate:
 
     def test_equals_collinearity_ratio_of_same_fit(self):
         data = _study2_dataset(seed=4)
-        fit = fit_ols(data, "a", ["x"], include_intercept=True)
+        fit = fit_ols(data, "a", ["x"])
         stats = exposure_stats_from_ols(fit, "x")
         assert ratio_point_estimate(data, "a", "x", []) == collinearity_ratio(stats)
 

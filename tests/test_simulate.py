@@ -113,7 +113,7 @@ class TestGenerate:
         spec = DgpSpec(beta=1.7, gamma=0.0, theta_x=0.0, a_on_u=1.0,
                        a_noise_sd=0.0, x_noise_sd=0.0, y_noise_sd=0.0)
         data = generate(spec, 50, 1)
-        fit = fit_ols(data, "y", ["a"], include_intercept=False)
+        fit = fit_ols(data, "y", ["a"])
         assert fit.coefficient("a") == pytest.approx(1.7, abs=1e-13)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-24)
 
