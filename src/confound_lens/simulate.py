@@ -124,8 +124,11 @@ def population_moments(spec: DgpSpec) -> PopulationMoments:
 
 def exposure_stats_from_moments(m: PopulationMoments) -> ExposureModelStats:
     """Population exposure model: beta_AX = Cov(A,X)/Var(X), the matching R^2
-    and the residual variance Var(A)(1 - R^2); R^2 = 1 when Var(A) = 0."""
-    r2 = m.cov_a_x ** 2 / (m.var_a * m.var_x) if m.var_a > 0.0 else 1.0
+    and the residual variance Var(A)(1 - R^2); R^2 = 1 when Var(A) = 0.
+
+    R^2 is clamped to 1, as in `fit_ols`: for an exposure that the proxy
+    explains exactly it can round above 1."""
+    r2 = min(m.cov_a_x ** 2 / (m.var_a * m.var_x), 1.0) if m.var_a > 0.0 else 1.0
     return ExposureModelStats(
         beta_a_on_x=m.cov_a_x / m.var_x,
         residual_variance=m.var_a * (1.0 - r2),

@@ -96,6 +96,16 @@ class TestPopulationBias:
             with pytest.raises(DegenerateExposureError):
                 population_value(spec)
 
+    def test_exposure_explained_exactly_by_the_proxy_is_degenerate(self):
+        # A = 0.7 X exactly; Cov(A,X)^2 / (Var(A) Var(X)) rounds above 1
+        spec = DgpSpec(beta=1, gamma=1, theta_x=0, a_on_u=0.7, a_noise_sd=0,
+                       x_noise_sd=0.5, y_noise_sd=1, a_on_eps_x=0.7)
+        m = population_moments(spec)
+        assert m.cov_a_x ** 2 / (m.var_a * m.var_x) > 1.0
+        assert exposure_stats_from_moments(m).r2_a_on_x == 1.0
+        with pytest.raises(DegenerateExposureError):
+            population_ols_bias(spec)
+
     def test_equals_general_bias_fed_with_moments_exactly(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
