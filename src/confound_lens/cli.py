@@ -273,7 +273,8 @@ def _handle_logit(args) -> str:
             "converged": fit.converged,
             "iterations": int(fit.iterations),
             "log_likelihood": float(fit.log_likelihood),
-            "c_statistic_in_sample": float(c_statistic(fit.fitted_probabilities, data.column(args.outcome))),
+            "c_statistic_in_sample": float(c_statistic(fit.fitted_probabilities,
+                                                       data.column(args.outcome))),
             "coefficients": _coefficient_rows(fit, estimate=fit.coefficients,
                                               std_error=fit.standard_errors),
         }}))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+
 import numpy as np
 
 from . import checks
