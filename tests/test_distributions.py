@@ -23,6 +23,17 @@ CHISQ_Q_025_10 = 3.246972780236801
 T_CDF_19624_996 = 0.975002992701876
 
 
+class TestQuantileProbability:
+    """p of a quantile function lies strictly inside (0, 1)."""
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, float("nan"), float("inf")])
+    def test_rejects_out_of_range(self, bad):
+        for quantile in (normal_quantile, lambda p: t_quantile(p, 5),
+                         lambda p: chisq_quantile(p, 5)):
+            with pytest.raises(DomainError):
+                quantile(bad)
+
+
 class TestNormal:
     def test_median_is_zero(self):
         assert normal_quantile(0.5) == 0.0
