@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (DomainError, InsufficientRowsError, NoVariationError,
-                     SeparationError)
-from .ols import RANK_TOL, _check_design_rank, _design, _NamedCoefficients
+from .errors import DomainError, NoVariationError, RankDeficientError, SeparationError
+from .ols import (INTERCEPT, _check_rank, _design, _least_squares, _NamedCoefficients,
+                  _inference)
 
 MAX_ITERATIONS = 50
-DECREMENT_TOL = 1e-20  # on grad' info^-1 grad, which column units leave unchanged
+DECREMENT_TOL = 1e-20  # on |R step|^2, which column units and origins leave unchanged
 # |linear predictor| beyond this puts a fitted probability within e**-10 of 0/1
 SATURATION_ETA = 10.0
 
@@ -59,51 +59,47 @@ def _separated(X: np.ndarray, eta: np.ndarray) -> bool:
     Separation runs IRLS off along a direction that is zero on the rows it
     cannot separate; at a finite MLE the unsaturated rows determine the fit,
     however far one saturated row lies.  The rank test reads an orthonormal
-    basis of X's columns, so covariate units do not enter it.
+    basis of X's columns, so covariate units and origins do not enter it.
     """
     unsaturated = np.abs(eta) <= SATURATION_ETA
     if unsaturated.all():
         return False
     basis = np.linalg.qr(X)[0][unsaturated]
-    if basis.shape[0] < basis.shape[1]:
+    try:
+        _check_rank(np.linalg.qr(basis, mode="r"))
+    except RankDeficientError:
         return True
-    svals = np.linalg.svd(np.linalg.qr(basis, mode="r"), compute_uv=False)
-    return bool(svals[-1] <= RANK_TOL * svals[0])
+    return basis.shape[0] < basis.shape[1]  # fewer rows than coefficients
 
 
 def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> LogitFit:
     """Maximum-likelihood logistic fit of `outcome` on an intercept and
     `regressors`, by step-halving IRLS.
 
-    Standard errors come from the inverse observed information at the
-    optimum.  Raises SeparationError once the unsaturated rows stop
+    Each Newton step is the QR fit of (y - mu) / sqrt(w) on the centred
+    design weighted by sqrt(w), w = mu (1 - mu); standard errors come from
+    the last step's R.  Raises SeparationError once the unsaturated rows stop
     determining the coefficients (see _separated).
     """
     y = data.column(outcome)
     _check_binary(y, f"outcome {outcome!r}")
-    X, names = _design(data, regressors)
-    n, p = X.shape
-    if n - p < 1:
-        raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
-    _check_design_rank(X)
-
-    beta = np.zeros(p)
+    X, means = _design(data.matrix(list(regressors)))
+    beta = np.zeros(X.shape[1])
     eta = X @ beta
     ll = _log_likelihood(y, eta)
 
     for iterations in range(MAX_ITERATIONS + 1):
         mu = _sigmoid(eta)
-        grad = X.T @ (y - mu)
-        w = mu * (1.0 - mu)
-        info = X.T @ (X * w[:, None])
+        sqrt_w = np.sqrt(mu * (1.0 - mu))
+        z = np.divide(y - mu, sqrt_w, out=np.zeros_like(mu), where=sqrt_w > 0.0)
         try:
-            direction = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise SeparationError(
-                "weighted information matrix is singular; fitted probabilities "
-                "have collapsed to 0/1"
-            ) from None
-        converged = bool(grad @ direction <= DECREMENT_TOL)
+            direction, _, _, R = _least_squares(X * sqrt_w[:, None], z)
+        except RankDeficientError:
+            if iterations == 0:  # equal weights: the design itself is collinear
+                raise
+            raise SeparationError("fitted probabilities have collapsed to 0/1") from None
+        r_step = R @ direction
+        converged = bool(r_step @ r_step <= DECREMENT_TOL)
         if converged or iterations == MAX_ITERATIONS:
             break
 
@@ -126,20 +122,19 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
                 f"numerically 0 or 1 no longer determine the coefficients; data "
                 f"look quasi-completely separated")
 
-    standard_errors = np.sqrt(np.diag(np.linalg.inv(info)))
-    tiny = np.finfo(np.float64).tiny
-    probs = np.clip(mu, tiny, 1.0 - np.finfo(np.float64).epsneg)
+    beta, standard_errors, _ = _inference(beta, R, 0.0, means, 1.0)
+    probs = np.clip(mu, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
 
     return LogitFit(
         outcome=outcome,
-        names=names,
+        names=(INTERCEPT, *regressors),
         coefficients=beta,
         standard_errors=standard_errors,
         fitted_probabilities=probs,
         converged=converged,
         iterations=iterations,
         log_likelihood=ll,
-        n=n,
+        n=y.shape[0],
     )
 
 

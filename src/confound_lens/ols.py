@@ -3,7 +3,7 @@
 The solver goes through a QR factorization rather than the normal equations:
 the whole point of this package is diagnosing strongly collinear designs, and
 squaring the design matrix would throw away half the usable precision exactly
-where it matters.
+where it matters.  Centred regressors keep any covariate's origin out of it.
 """
 
 from __future__ import annotations
@@ -64,11 +64,23 @@ class OlsFit(_NamedCoefficients):
         return float(self.p_values[self._index(name)])
 
 
-def _design(data: Dataset, regressors: list[str] | tuple[str, ...]
-            ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The intercept column followed by the regressors, and their names."""
-    X = np.column_stack([np.ones(data.n), data.matrix(list(regressors))])
-    return X, (INTERCEPT,) + tuple(regressors)
+def _design(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intercept column and the regressors `values` (..., n, k) minus
+    their means, and the means (..., k).  Each column is centred on its own,
+    so a fit's bits depend neither on its stack nor on the other columns."""
+    k = values.shape[-1]
+    X = np.ones(values.shape[:-1] + (k + 1,))
+    means = np.empty(values.shape[:-2] + (k,))
+    for j in range(k):
+        means[..., j] = values[..., j].mean(axis=-1)
+        X[..., j + 1] = values[..., j] - means[..., j, None]
+    return X, means
+
+
+def _shifted(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes y (..., n) less their first values y0, and y0.  Less their mean,
+    the intercept would be 0 and its rounding error in every residual."""
+    return y - y[..., :1], y[..., 0]
 
 
 def _check_rank(R: np.ndarray) -> None:
@@ -91,17 +103,14 @@ def _check_rank(R: np.ndarray) -> None:
         )
 
 
-def _check_design_rank(X: np.ndarray) -> None:
-    _check_rank(np.linalg.qr(X, mode="r"))
-
-
 def _least_squares(X: np.ndarray, y: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """QR solve of y on X: coefficients, residuals, RSS and the R factor.
 
     Every least-squares fit goes through here, for one design X (n, p) and
     y (n,) or a stack X (b, n, p) and y (b, n).  A fit's bits do not depend on
-    its stack if X is C-contiguous and y is a column view of one array."""
+    its stack if X is C-contiguous (y is made so)."""
+    y = np.ascontiguousarray(y)
     n, p = X.shape[-2:]
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
@@ -112,14 +121,18 @@ def _least_squares(X: np.ndarray, y: np.ndarray
     return beta, residuals, (residuals[..., None, :] @ residuals[..., None])[..., 0, 0], R
 
 
-def _standard_errors(beta: np.ndarray, R: np.ndarray, residual_variance):
-    """Standard errors and t-values (+-inf, or 0 for beta 0, where se is 0)."""
+def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance):
+    """Coefficients, standard errors and t-values (+-inf, or 0 for beta 0, where
+    se is 0) from a fit, or a stack, of the outcome less y0 on the design
+    centred at `means`: b0 = y0 + c0 - m.c[1:], and row 0 of R^-1 becomes
+    R^-1[0] - m R^-1[1:], so var(b0) = [1, -m] Sigma [1, -m]'."""
     r_inv = np.linalg.inv(R)
-    xtx_inv_diag = np.einsum("...ij,...ij->...i", r_inv, r_inv)
-    se = np.sqrt(np.asarray(residual_variance)[..., None] * xtx_inv_diag)
+    beta[..., 0] += y0 - np.einsum("...j,...j->...", means, beta[..., 1:])
+    r_inv[..., 0, :] -= np.einsum("...j,...jk->...k", means, r_inv[..., 1:, :])
+    se = np.sqrt(np.asarray(variance)[..., None] * np.einsum("...ij,...ij->...i", r_inv, r_inv))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
-    return se, np.where((se == 0.0) & (beta == 0.0), 0.0, t_values)
+    return beta, se, np.where((se == 0.0) & (beta == 0.0), 0.0, t_values)
 
 
 def _r_squared(y: np.ndarray, rss: float) -> float:
@@ -137,18 +150,18 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     freedom, p counting the intercept.  r_squared is centered.  With no
     regressors this is the intercept-only fit.
     """
-    y = data.column(outcome)
-    X, names = _design(data, regressors)
+    y, y0 = _shifted(data.column(outcome))
+    X, means = _design(data.matrix(list(regressors)))
     beta, residuals, rss, R = _least_squares(X, y)
     n, p = X.shape
     df_residual = n - p
     residual_variance = float(rss) / df_residual
-    standard_errors, t_values = _standard_errors(beta, R, residual_variance)
+    beta, standard_errors, t_values = _inference(beta, R, y0, means, residual_variance)
     p_values = np.array([2.0 * (1.0 - t_cdf(abs(t), df_residual)) for t in t_values])
 
     return OlsFit(
         outcome=outcome,
-        names=names,
+        names=(INTERCEPT, *regressors),
         coefficients=beta,
         standard_errors=standard_errors,
         t_values=t_values,
@@ -170,9 +183,10 @@ def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
     regressors = list(regressors)
     if len(regressors) < 2:
         raise DomainError("vif needs at least two regressors")
-    X, _ = _design(data, regressors)
-    _check_design_rank(X)
-    ys = X.T[1:]  # row j - 1 is the column view X[:, j], refitted on the rest
+    values = data.matrix(regressors)
+    X, _ = _design(values)
+    ys, _ = _shifted(values.T)  # row j: the outcome of regressor j's refit on the rest
     _, _, rss, _ = _least_squares(np.stack([np.delete(X, j, 1) for j in range(1, len(X.T))]), ys)
+    _check_rank(np.linalg.qr(X, mode="r"))  # after the refits' own row count check
     slacks = [1.0 - _r_squared(y, float(r)) for y, r in zip(ys, rss)]
     return [float("inf") if slack <= 0.0 else 1.0 / slack for slack in slacks]

@@ -35,8 +35,7 @@ class RatioInterval:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise DomainError(f"lower {self.lower} exceeds upper {self.upper}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must lie in (0, 1), got {self.level}")
+        checks.probability(self.level, "level")
         if not self.beta_interval[0] <= self.beta_interval[1]:
             raise DomainError("beta_interval endpoints out of order")
         if not 0.0 < self.variance_interval[0] <= self.variance_interval[1]:

@@ -7,9 +7,11 @@ solved by raw normal equations, the logistic oracle runs Newton steps
 with finite-difference derivatives of the explicit log-likelihood, and the
 CSV reference reads and writes row by row, one cell at a time (the package's
 former ingest, without its later BOM and row-number fixes).  The VIF
-reference is the package's former `vif`: an SVD rank check of the design
-with its columns scaled to unit norm, then one complete least-squares refit
-per regressor.  The normal sampler reference is the package's former
+reference is the package's former `vif` on the design as `fit_ols` now builds
+it: a row count check, an SVD rank check of the centred design with its
+columns scaled to unit norm, then one complete least-squares refit per
+regressor, of the regressor less its first value on the others less their
+means.  The normal sampler reference is the package's former
 masked-selection kernel, kept verbatim.
 """
 
@@ -306,14 +308,23 @@ def _intercept_fit_r_squared(X: np.ndarray, y: np.ndarray) -> float:
     return 0.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
 
+def _centred_design(values: np.ndarray) -> np.ndarray:
+    """The intercept column and each column of `values` minus its own mean."""
+    return np.column_stack([np.ones(len(values))] + [c - c.mean() for c in values.T])
+
+
 def vif_nested(values: np.ndarray) -> list[float]:
-    """VIF of each column of the (n, k) array `values`, k >= 2."""
+    """VIF of each column of the (n, k) array `values`, k >= 2, from fits of
+    the column less its first value on the centred others, as `fit_ols` fits
+    them."""
     n, k = values.shape
-    _svd_rank_check(np.column_stack([np.ones(n), values]))
+    if n - k < 1:  # every nested refit has k coefficients
+        raise VifOracleError("rows")
+    _svd_rank_check(_centred_design(values))
     out = []
     for j in range(k):
         others = np.column_stack([values[:, i] for i in range(k) if i != j])
-        r2 = _intercept_fit_r_squared(np.column_stack([np.ones(n), others]), values[:, j])
+        r2 = _intercept_fit_r_squared(_centred_design(others), values[:, j] - values[0, j])
         slack = 1.0 - r2
         out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
     return out

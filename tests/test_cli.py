@@ -168,6 +168,45 @@ class TestFitAndLogit:
             assert 0.5 < logit["c_statistic_in_sample"] < 1.0
 
 
+def _fixture_with_age_offset(tmp_path, offset):
+    """The fixture with `offset` added to every age (whole years, so exact)."""
+    lines = Path(FIXTURE).read_text(encoding="utf-8").splitlines()
+    age = lines[0].split(",").index("age")
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[age] = repr(float(cells[age]) + offset)
+        rows.append(",".join(cells))
+    path = tmp_path / "shifted.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _slopes_and_ses(report, model):
+    """(estimate, std_error) of every coefficient but the intercept."""
+    coefficients = report["strata"][0][model]["coefficients"]
+    assert coefficients[0]["term"] == "intercept"
+    return np.array([(c["estimate"], c["std_error"]) for c in coefficients[1:]])
+
+
+class TestCovariateOrigin:
+    """A covariate's origin (age in Unix seconds, say) moves only the intercept."""
+
+    CONTROLS = ("--controls", "age,education_grade,poverty_index")
+
+    @pytest.mark.parametrize("command, model, offset", [
+        ("logit", "logit", 1.7e9), ("fit", "ols", 1e11)])
+    def test_shifted_age_leaves_slopes_and_their_ses(self, capsys, tmp_path, command,
+                                                     model, offset):
+        argv = (command, "--outcome", "smoker", *self.CONTROLS)
+        base = run_json(capsys, *argv, "--input", FIXTURE)
+        shifted = run_json(capsys, *argv, "--input", _fixture_with_age_offset(tmp_path, offset))
+        ses = [c["std_error"] for c in shifted["strata"][0][model]["coefficients"]]
+        assert np.isfinite(ses).all()
+        np.testing.assert_allclose(_slopes_and_ses(shifted, model),
+                                   _slopes_and_ses(base, model), rtol=1e-9, atol=0.0)
+
+
 PARITY_ARGV = {
     "fit": ("fit", "--input", FIXTURE, "--outcome", "smoker",
             "--exposure", "poverty_index", "--controls", "age"),

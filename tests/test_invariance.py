@@ -1,0 +1,124 @@
+"""A covariate's origin and units change no fit but through the intercept and
+that covariate's own slope.
+
+Shifting one covariate by up to 1e12, or scaling it by 10^-8 to 10^8, must
+leave every slope and slope standard error (the scaled covariate's own
+multiplied back by the scale), every VIF and the collinearity ratio within
+TOL relative of the original fit, and the rank and convergence verdicts
+unchanged.  Covariates sit on a grid of 2^-10 below 2^12 in magnitude, so
+every shift of up to 1e12 is exact: the shifted data are the same data.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confound_lens import (Dataset, DegenerateExposureError, InsufficientRowsError,
+                           NoVariationError, RankDeficientError, SeparationError, fit_logit,
+                           fit_ols, ratio_point_estimate, vif)
+from confound_lens.logit import _sigmoid
+
+TOL = 1e-9
+
+VERDICTS = (DegenerateExposureError, InsufficientRowsError, NoVariationError,
+            RankDeficientError, SeparationError)
+
+
+@st.composite
+def designs(draw):
+    """(covariates (n, k), continuous outcome, 0/1 outcome): independent,
+    correlated or exactly collinear covariates on the 2^-10 grid."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 4, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=(n, k))
+    kind = draw(st.sampled_from(["independent", "correlated", "collinear"]))
+    if kind == "correlated" and k > 1:
+        z[:, -1] = z[:, :-1] @ rng.normal(size=k - 1) + 0.05 * rng.normal(size=n)
+    spread = 10.0 ** np.array(draw(st.lists(st.floats(-1.0, 2.5), min_size=k, max_size=k)))
+    covariates = np.round(np.clip(z * spread, -3000.0, 3000.0) * 1024.0) / 1024.0
+    if kind == "collinear" and k > 1:
+        covariates[:, -1] = covariates[:, :-1].sum(axis=1)
+    eta = z @ rng.normal(size=k)
+    y = eta + rng.normal(size=n)
+    y01 = (rng.random(n) < _sigmoid(0.5 * eta)).astype(float)
+    return covariates, y, y01
+
+
+transforms = st.one_of(
+    st.tuples(st.just("shift"), st.integers(-10 ** 12, 10 ** 12)),
+    st.tuples(st.just("shift"), st.sampled_from([s * 10 ** e for e in range(13) for s in (1, -1)])),
+    st.tuples(st.just("scale"), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)),
+)
+
+
+def _fits(covariates, y, y01):
+    """Per fit: its slopes then their SEs (logit: after its convergence
+    verdict), its VIFs or its ratio; or the class of the error it raised."""
+    names = [f"x{j}" for j in range(covariates.shape[1])]
+    data = Dataset((*names, "y", "y01"), np.column_stack([covariates, y, y01]))
+
+    def ols():
+        fit = fit_ols(data, "y", names)
+        return np.concatenate([fit.coefficients[1:], fit.standard_errors[1:]])
+
+    def logit():
+        fit = fit_logit(data, "y01", names)
+        verdict = (fit.converged, fit.iterations)
+        return verdict, np.concatenate([fit.coefficients[1:], fit.standard_errors[1:]])
+
+    def vifs():
+        return np.array(vif(data, names)) if len(names) > 1 else np.array([])
+
+    def ratio():
+        return np.array([ratio_point_estimate(data, "y", names[0], names[1:])])
+
+    out = {}
+    for name, fn in (("ols", ols), ("logit", logit), ("vif", vifs), ("ratio", ratio)):
+        try:
+            out[name] = fn()
+        except VERDICTS as exc:
+            out[name] = type(exc).__name__
+    return out
+
+
+def _verdict(result) -> str:
+    """The error class a fit raised, or "fitted"."""
+    return result if isinstance(result, str) else "fitted"
+
+
+def _undo(name, values, j, k, scale):
+    """The transformed fit's numbers in the original covariate's units."""
+    values = values.copy()
+    if name in ("ols", "logit"):
+        values[[j, j + k]] *= scale  # the slope and SE of covariate j
+    elif name == "ratio" and j == 0:  # the proxy's slope, over an unchanged variance
+        values *= scale
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(designs(), st.data(), transforms)
+def test_origin_and_units_of_a_covariate_change_no_slope_se_or_verdict(design, data, transform):
+    covariates, y, y01 = design
+    k = covariates.shape[1]
+    j = data.draw(st.integers(0, k - 1), label="covariate")
+    kind, amount = transform
+    moved = covariates.copy()
+    if kind == "shift":
+        moved[:, j] += amount
+        assert np.array_equal(moved[:, j] - amount, covariates[:, j])  # exact
+    else:
+        moved[:, j] *= amount
+    before, after = _fits(covariates, y, y01), _fits(moved, y, y01)
+    for name in before:
+        b, a = before[name], after[name]
+        assert _verdict(a) == _verdict(b), name
+        if isinstance(b, str):
+            continue
+        if name == "logit":
+            assert a[0] == b[0], name  # converged, and in as many iterations
+            b, a = b[1], a[1]
+        scale = amount if kind == "scale" else 1.0
+        np.testing.assert_allclose(_undo(name, a, j, k, scale), b, rtol=TOL, atol=0.0,
+                                   err_msg=name)

@@ -5,7 +5,7 @@ import pytest
 
 from confound_lens import (Dataset, NoVariationError, SeparationError,
                            c_statistic, fit_logit, ingest_csv)
-from confound_lens.errors import DomainError
+from confound_lens.errors import DomainError, InsufficientRowsError, RankDeficientError
 from confound_lens.logit import _sigmoid
 
 import oracles
@@ -110,6 +110,19 @@ class TestFitLogit:
         data = _data(flag=flag, y=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(SeparationError):
             fit_logit(data, "y", ["flag"])
+
+    def test_collinear_design_is_rank_deficient_not_separated(self):
+        # the first step's weights are all equal, so its rank failure is the
+        # design's own and keeps the design's error class
+        x = np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1, -0.9, 0.4])
+        data = _data(x=x, x2=3.0 * x - 1.0, y=[1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(RankDeficientError):
+            fit_logit(data, "y", ["x", "x2"])
+
+    def test_too_few_rows_for_the_coefficients(self):
+        data = _data(x=[0.3, -1.2, 0.8], z=[1.0, 2.0, 0.5], y=[1.0, 0.0, 1.0])
+        with pytest.raises(InsufficientRowsError):
+            fit_logit(data, "y", ["x", "z"])
 
     def test_single_class_outcome(self):
         data = _data(x=[1.0, 2.0, 3.0], y=[1.0, 1.0, 1.0])

@@ -264,29 +264,37 @@ class TestVifMatchesNestedRefits:
 
 @st.composite
 def design_stacks(draw):
-    """(b, n, p + 1) arrays: a stack of designs with their outcome last,
-    columns on scales from 1e-6 to 1e6."""
+    """(b, n, p + 1) arrays: a stack of regressors with their outcome last,
+    columns on scales from 1e-6 to 1e6 and origins up to 1e6 away."""
     b, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    n = draw(st.integers(p + 1, 300))
+    n = draw(st.integers(p + 2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     exponents = draw(st.lists(st.integers(-6, 6), min_size=p + 1, max_size=p + 1))
-    return rng.normal(size=(b, n, p + 1)) * 10.0 ** np.array(exponents, dtype=np.float64)
+    origins = draw(st.lists(st.floats(-1e6, 1e6), min_size=p + 1, max_size=p + 1))
+    return rng.normal(size=(b, n, p + 1)) * 10.0 ** np.array(exponents, dtype=np.float64) \
+        + np.array(origins)
 
 
 class TestStackedKernel:
     @settings(max_examples=200, deadline=None)
     @given(design_stacks())
     def test_each_fit_of_a_stack_is_bit_identical_to_its_single_fit(self, values):
-        X, y = np.ascontiguousarray(values[..., :-1]), values[..., -1]
+        (X, means), (y, y0) = ols._design(values[..., :-1]), ols._shifted(values[..., -1])
         df = X.shape[1] - X.shape[2]
         stacked = ols._least_squares(X, y)
-        stacked_se = ols._standard_errors(stacked[0], stacked[3], stacked[2] / df)
+        stacked_inference = ols._inference(stacked[0].copy(), stacked[3], y0, means,
+                                           stacked[2] / df)
         for i in range(X.shape[0]):
-            single = ols._least_squares(X[i], y[i])
+            single_design = ols._design(values[i, :, :-1])
+            single_y = ols._shifted(values[i, :, -1])
+            for a, b in zip(single_design + single_y, (X, means, y, y0)):
+                assert np.asarray(a).tobytes() == b[i].tobytes()
+            single = ols._least_squares(single_design[0], single_y[0])
             for a, b in zip(single, stacked):
                 assert np.asarray(a).tobytes() == b[i].tobytes()
-            single_se = ols._standard_errors(single[0], single[3], float(single[2]) / df)
-            for a, b in zip(single_se, stacked_se):
+            single_inference = ols._inference(single[0].copy(), single[3], single_y[1],
+                                              single_design[1], float(single[2]) / df)
+            for a, b in zip(single_inference, stacked_inference):
                 assert a.tobytes() == b[i].tobytes()
 
     def test_rank_check_of_a_stack_fails_for_any_collinear_design(self):

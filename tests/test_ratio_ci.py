@@ -217,3 +217,10 @@ class TestRatioIntervalType:
             RatioInterval(lower=0.0, upper=1.0, level=0.95,
                           beta_interval=(0.0, 1.0), variance_interval=(0.0, 1.0),
                           point_estimate=0.5)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, float("nan"), True, "0.9"])
+    def test_rejects_a_level_outside_the_probability_rule(self, level):
+        with pytest.raises(DomainError, match="^level must"):
+            RatioInterval(lower=0.0, upper=1.0, level=level,
+                          beta_interval=(0.0, 1.0), variance_interval=(0.5, 1.0),
+                          point_estimate=0.5)
