@@ -32,21 +32,21 @@ GENERATE_BLOCKS_DIGEST = "f72297f5d82ab5232a15fa698e6674a8226c96c63961f7287eda32
 
 CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
-    "fit": "7af02655a4fd6a74276bee5b6fa874c65b9af012496a26d630dd00739f11b168",
-    "logit-stratified": "d8198702ae7ef71836ab76acc75351429d36c9d24b145adfcdbbabaf46c40fc4",
-    "ratio-ci-stratified": "9ed397671e7b70c99952661997d29941d843e6d56f3823168ddc9cdd3bc2e7e4",
-    "simulate-replicates": "cbe3f8e352ef4ec627f25908b6f5bcbbc7b7e91d8e706f708dea373ce489d620",
-    "fit-stratified-vif": "9458db66a1d37deb9852dd5ed826dd0df31bcd2955e775476c47a39bd6f1c0ea",
-    "sensitivity": "fcbc766ef4be850b72d74d6bdbf8d9308d32a74210d1c4eb0fd7bdcf277923ac",
+    "fit": "a4da1274f361b29284e7eabd145da90ebfe2fc207b48764bebe6cfece657fbf1",
+    "logit-stratified": "1ee1d0bfbf64f8b22e59c0d81fa073a4e86eb782119ba92e5831174037fe22be",
+    "ratio-ci-stratified": "1edd2daa90e53bceb9cfbf9b999ba24027d260debb4716856c7bd39b1dfa3a80",
+    "simulate-replicates": "95451bc05a47f43d54818be80815016693392a5dc4c30769774823fcba3e0802",
+    "fit-stratified-vif": "946019d9d0fa295022e3285718e8506ce9f11cfbc312d2950d6ed8093ae623db",
+    "sensitivity": "944cb45e170626dfd416b616de79de274b1f23be9460e06163d049287ad89d43",
     "fit-stratified-text": "8161a2e614180bc45252cf8f98417694257e7732bd26cdecedd9487d9148959a",
     "logit-stratified-text": "89ea9c41b2ee5257a1663ec3a46a339fe360ffdb5d0dff6f6e932bdb8e99c773",
     "sensitivity-text": "14a166fe27e4695005cb4031d80c3cb1352931fea44fe08f9f490a38a1a171fd",
     "sensitivity-summary-text": "447515cac030b7a2162ff31662a31d53e03eb9857d536a3c9af84b8ccf9351eb",
     "sensitivity-summary": "89dbe94843b84057866eaee9919f9facc16a1d6578cc41ac803f83089f44f594",
     "ratio-ci-stratified-text": "2882e01f14c4c8d990c9def9065e05a91315fb4f2d12e14d02b61e2f71bde33e",
-    "bias-grid": "afc975644c89fbee6eb772cadb138b5ca3ef88bd04cce021da47e1e45e0df8c8",
+    "bias-grid": "4beab4102eb23ac3f10b3c5fbfaf1ba60a99b5892cf24e4c6cb686413932e37d",
     "simulate-replicates-text": "12579705544c1ebc925907ba11821c23ae75b6824218942ddfebd3e6dd6973b7",
-    "simulate-replicates-large": "15541443ee79a858a272b7da07dffbce097df1483c5de848f69262a44c7102c9",
+    "simulate-replicates-large": "50ced0eddee7fd0f3d3edbefe6bf9def8a7d267e5032256afbe0fd9cc16e4ff4",
 }
 
 CLI_ARGV = {
@@ -108,7 +108,7 @@ CLI_ARGV = {
 # a_on_eps_x != 0, so the report carries no bias_decomposition block
 SPEC = {"beta": 1.0, "gamma": 0.5, "theta_x": 0.0, "a_on_u": 1.0, "a_noise_sd": 0.5,
         "x_noise_sd": 0.5, "y_noise_sd": 1.0, "a_on_eps_x": 0.2}
-SPEC_REPLICATES_DIGEST = "a895f9ce6f85087010de76dc5d8907d6c8b3f2ebbbe2ecad1a4f0daafe6b851d"
+SPEC_REPLICATES_DIGEST = "c3a4071ec1e95a1add0bb5946a3cd91382ce5327d5e56afdfa04f79a8a86f98e"
 
 
 def _sha256(data: bytes) -> str:
@@ -150,7 +150,7 @@ def test_simulate_replicates_from_spec_file_is_pinned(tmp_path, monkeypatch):
 # collinearity ratio of random exposure fits: one line per case, either the
 # exact bits of every returned float or the class of the error raised.
 POPULATION_BIAS_DIGEST = "a0121c5dceb7cfc980202b872d7f9722c7b39ed7811faaa05b0725a084da78f3"
-RATIO_POINT_ESTIMATE_DIGEST = "bbd4ee854c41b4b3bbcc70b65d8eb649fa856dd73c1fae9645d0913b516c4da0"
+RATIO_POINT_ESTIMATE_DIGEST = "f7f3936975179ae32ac620dc1b124a28fdf35e234ae421c37d8fcdc19aa64071"
 
 
 def _bits_or_error(fn, *args) -> str:
