@@ -134,7 +134,7 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
         converged=converged,
         iterations=iterations,
         log_likelihood=ll,
-        n=y.shape[0],
+        n=data.n,
     )
 
 
