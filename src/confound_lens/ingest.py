@@ -11,6 +11,14 @@ Cells may be padded with whitespace, blank lines are skipped, and a leading
 UTF-8 byte-order mark is ignored.  Row numbers in a ParseError are the file's
 record numbers, blank lines included.
 
+The source's text is read once.  A text with no quote, CR or NUL, no blank
+line and the header's field count on every line is cut into cells by one
+`str.split` on "," after each "\n" became ",": the cells csv.reader would
+give, without a list per row.  Any other text goes to csv.reader, whose
+records give every ragged-row error and row number as before.  A file's lines
+end at CR, LF or CRLF (it is opened with newline=""), a stream's where the
+stream ends them.
+
 The table is parsed column by column: each column is first read by one C-level
 `float` pass, and only a column where that pass fails (a blank cell or a
 categorical level) is parsed cell by cell, once per distinct string.
@@ -38,23 +46,57 @@ _WRITE_BLOCK_ROWS = 4096
 
 def _read_table(source) -> tuple[list[str], list[list[str]]]:
     """Header names and the raw (unstripped) cells of each data column."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _read_table(fh)
     try:
-        records = list(csv.reader(source))  # a blank line reads as an empty record
-    except (csv.Error, UnicodeDecodeError) as exc:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                text = fh.read()
+            lines = None
+        else:
+            lines = source.readlines()  # the stream's own line ends
+            text = "".join(lines)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+    table = _split_plain(text)
+    if table is None:
+        # StringIO(newline="") ends lines at "\r", "\n" and "\r\n", as the file did
+        table = _split_csv(io.StringIO(text, newline="") if lines is None else lines)
+    return table
+
+
+def _split_plain(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """The table of a text that csv.reader would cut only at "," and "\n", or
+    None.  The text must hold no quote, CR or NUL (csv.reader treats them
+    apart, and before Python 3.11 rejects NUL), the header's field count on
+    every line, no blank line and no field over the csv module's size limit."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    body = text.removesuffix("\n")
+    # "," and "\n" never occur inside a multi-byte UTF-8 sequence
+    codes = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    ends = np.flatnonzero(codes[seps] == ord("\n"))  # which separators end a line
+    ncol = int(ends[0]) + 1 if len(ends) else len(seps) + 1
+    sizes = np.diff(seps, prepend=-1, append=len(codes)) - 1  # field lengths in bytes
+    # a blank line is one empty field: ragged beside a wider header, else size 0
+    if ((len(seps) + 1) % ncol
+            or not np.array_equal(ends, np.arange(ncol - 1, len(seps), ncol))
+            or (ncol == 1 and not sizes.all())
+            or sizes.max() > csv.field_size_limit()):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    header = _header(fields[:ncol], row=1)
+    return header, [fields[j::ncol] for j in range(ncol, 2 * ncol)]
+
+
+def _split_csv(lines) -> tuple[list[str], list[list[str]]]:
+    try:
+        records = list(csv.reader(lines))  # a blank line reads as an empty record
+    except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     header_row = next((i for i, row in enumerate(records, start=1) if row), None)
     if header_row is None:
         raise ParseError("file has no header row")
-    header = [h.strip() for h in records[header_row - 1]]
-    header[0] = header[0].removeprefix("\ufeff").strip()  # a BOM in a text stream
-    if any(not h for h in header):
-        raise ParseError("header contains an empty column name", row=header_row)
-    dupes = [h for h, c in Counter(header).items() if c > 1]
-    if dupes:
-        raise ParseError(f"duplicate column names: {dupes}", row=header_row)
+    header = _header(records[header_row - 1], row=header_row)
     ncol = len(header)
     if not set(map(len, records)) <= {0, ncol}:
         for i, row in enumerate(records, start=1):
@@ -62,6 +104,17 @@ def _read_table(source) -> tuple[list[str], list[list[str]]]:
                 raise ParseError(f"expected {ncol} fields, got {len(row)}", row=i)
     cells = list(chain.from_iterable(records[header_row:]))  # row-major, blanks gone
     return header, [cells[j::ncol] for j in range(ncol)]
+
+
+def _header(fields: list[str], row: int) -> list[str]:
+    header = [h.strip() for h in fields]
+    header[0] = header[0].removeprefix("\ufeff").strip()  # a BOM in a text stream
+    if any(not h for h in header):
+        raise ParseError("header contains an empty column name", row=row)
+    dupes = [h for h, c in Counter(header).items() if c > 1]
+    if dupes:
+        raise ParseError(f"duplicate column names: {dupes}", row=row)
+    return header
 
 
 def _parse_cell(cell: str):

@@ -1,4 +1,6 @@
+import csv
 import io
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from confound_lens import (Dataset, EmptyAfterFilteringError, ParseError,
                            ingest_csv, ingest_csv_stratified)
+from confound_lens import ingest
 from confound_lens.cli import main
 from confound_lens.ingest import dataset_to_csv
 
@@ -195,6 +198,162 @@ class TestFixture:
         assert np.array_equal(again.values, data.values)
 
 
+# Each text with its outcome through a file path and through a stream: the
+# names, rows and warnings of the dataset, or the error's class, message and
+# row.  "{src}" stands for the source's name.
+EDGE_CASES = {
+    "quoted field holding a comma": (
+        'g,y\n"a,b",1\nc,2\n', (("g:c", "y"), [[0, 1], [1, 2]], [])),
+    "# in a cell": (
+        "a,#b\n1,#x\n2,#x\n3,y\n", (("a", "#b:y"), [[1, 0], [2, 0], [3, 1]], [])),
+    "CRLF line ends": (
+        "a,b\r\n1,2\r\n3,4\r\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "BOM": (
+        "\ufeffa,b\n1,2\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "leading blank line": (
+        "\na,b\n1,2\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "mid-file blank line": (
+        "a,b\n1,2\n\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "blank line in a one-column file": (
+        "x\n1\n\n2\n", (("x",), [[1], [2]], [])),
+    "whitespace-only line": (
+        "a,b\n1,2\n \n3,4\n", (ParseError, "expected 2 fields, got 1 (row 3)", 3)),
+    "whitespace-only line in a one-column file": (
+        "x\n1\n \n2\n", (("x",), [[1], [2]], ["{src}: dropped 1 row(s) with missing values"])),
+    "one field too many": (
+        "a,b\n1,2\n3,4,5\n", (ParseError, "expected 2 fields, got 3 (row 3)", 3)),
+    "one field too few": (
+        "a,b\n1,2\n3\n", (ParseError, "expected 2 fields, got 1 (row 3)", 3)),
+    "one field too many, then one too few": (
+        "a,b\n1,2,3\n4\n5,6\n", (ParseError, "expected 2 fields, got 3 (row 2)", 2)),
+    "no trailing newline": (
+        "a,b\n1,2\n3,4", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "header only": (
+        "a,b\n", (EmptyAfterFilteringError,
+                  "{src}: no complete rows remain after dropping missing values", None)),
+    "float spellings beyond ASCII digits": (
+        "x,y\n1_000,1\n١٢,2\n\xa03,3\n",
+        (("x", "y"), [[1000, 1], [12, 2], [3, 3]], [])),
+    "non-finite values": (
+        "x,y\nnan,1\ninf,2\n1e400,3\n4,4\n",
+        (("x", "y"), [[4, 4]], ["{src}: dropped 3 row(s) with missing values"])),
+    "line separators of str.splitlines inside cells": (
+        "g,y\na\x85b,1\nc\u2028d,2\nc\u2028d,3\n",
+        (("g:a\x85b", "y"), [[1, 1], [0, 2], [0, 3]], [])),
+}
+
+
+def _sources(tmp_path, text):
+    """The text as a file path and as a stream, each with its name in messages."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return [(path, str(path)), (io.StringIO(text), "<stream>")]
+
+
+def _ingested(read):
+    """(names, values bytes) or (error class, message, row), with the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = read()
+        except (ParseError, EmptyAfterFilteringError) as exc:
+            got = (type(exc), str(exc), getattr(exc, "row", None))
+        else:
+            got = (data.names, data.values.tobytes())
+    return got, [str(w.message) for w in caught]
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_file_and_stream(self, tmp_path, case):
+        text, outcome = EDGE_CASES[case]
+        for source, name in _sources(tmp_path, text):
+            got, caught = _ingested(lambda: ingest_csv(source))
+            if isinstance(outcome[0], tuple):
+                names, rows, messages = outcome
+                want = (names, np.array(rows, dtype=np.float64).tobytes())
+            else:
+                error, message, row = outcome
+                want, messages = (error, message.format(src=name), row), []
+            assert got == want
+            assert caught == [m.format(src=name) for m in messages]
+
+    def test_nul_reads_as_the_csv_module_does(self, tmp_path):
+        text = "a,b\n1\x00,2\n3,4\n"
+        try:
+            list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:  # Python 3.10 rejects NUL
+            want = (ParseError, f"malformed CSV: {exc}", None)
+        else:  # later versions keep it in the cell, which makes "a" categorical
+            want = (("a:3.0", "b"), np.array([[0.0, 2.0], [1.0, 4.0]]).tobytes())
+        for source, _ in _sources(tmp_path, text):
+            assert _ingested(lambda: ingest_csv(source)) == (want, [])
+
+    def test_field_over_the_csv_size_limit(self, tmp_path):
+        limit = csv.field_size_limit(4)
+        try:
+            for source, _ in _sources(tmp_path, "a,b\n1234,1\n5,6\n"):
+                assert ingest_csv(source).column("a").tolist() == [1234.0, 5.0]
+            for source, _ in _sources(tmp_path, "a,b\n12345,1\n5,6\n"):
+                with pytest.raises(ParseError,
+                                   match=r"^malformed CSV: field larger than field limit \(4\)$"):
+                    ingest_csv(source)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_undecodable_byte_reports_its_offset_in_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + b"\xff,3\n")
+        with pytest.raises(ParseError, match=r"^malformed CSV: .* in position 12004: "):
+            ingest_csv(path)
+
+
+class TestLineEnds:
+    """A file is read with newline="", so a lone CR ends a record; a stream
+    keeps its own line ends, so in sys.stdin or a default StringIO a lone CR
+    sits inside a field, which csv.reader rejects."""
+
+    TEXT = "a,b\r1,2\r3,4\r"
+
+    def test_lone_cr_ends_a_record_in_a_file(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(self.TEXT.encode("utf-8"))
+        assert ingest_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert dict(ingest_csv_stratified(path, "a"))["3"].names == ("b",)
+
+    def test_lone_cr_in_a_stream_is_a_parse_error(self):
+        message = r"^malformed CSV: new-line character seen in unquoted field"
+        with pytest.raises(ParseError, match=message) as info:
+            ingest_csv(io.StringIO(self.TEXT))
+        assert info.value.row is None
+        with pytest.raises(ParseError, match=message):
+            ingest_csv_stratified(io.StringIO(self.TEXT), "a")
+
+    def test_lone_cr_on_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.TEXT))
+        code = main(["fit", "--input", "-", "--outcome", "a", "--exposure", "b"])
+        assert code == 2
+        assert "new-line character seen in unquoted field" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+class TestSplitPath:
+    def test_fixture_is_read_without_the_csv_module(self, monkeypatch):
+        text = FIXTURE.read_text(encoding="utf-8")
+        names, values = oracles.csv_rowwise(text)
+        strata = oracles.csv_rowwise_stratified(text, "sex")
+        monkeypatch.setattr(ingest.csv, "reader", _refuse)
+        data = ingest_csv(FIXTURE)
+        assert data.names == names and data.values.tobytes() == values.tobytes()
+        got = ingest_csv_stratified(FIXTURE, "sex")
+        assert [label for label, _ in got] == [label for label, _, _ in strata]
+        for (_, data), (_, names, values) in zip(got, strata):
+            assert data.names == names and data.values.tobytes() == values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the row-wise reference reader and writer
 # ---------------------------------------------------------------------------
@@ -226,6 +385,7 @@ def csv_texts(draw, stratify=False):
     if stratify:
         header = ["s"] + header
         pools = [["M", "F", " M", "M ", "", " ", "F"]] + pools
+    blank_lines = draw(st.booleans())  # without any, a text can take the split path
     lines = [",".join(header)]
     for _ in range(nrows):
         cells = [draw(st.one_of(st.sampled_from(pool),
@@ -233,9 +393,9 @@ def csv_texts(draw, stratify=False):
                       else st.sampled_from(pool))
                  for pool in pools]
         lines.append(",".join(cells))
-        if draw(st.integers(0, 9)) == 0:
+        if blank_lines and draw(st.integers(0, 9)) == 0:
             lines.append("")  # a blank line
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
 def _outcome(fn):
@@ -254,32 +414,34 @@ def _outcome(fn):
 
 
 class TestMatchesRowwiseReference:
-    @settings(max_examples=400, deadline=None)
-    @given(csv_texts())
-    def test_ingest_csv(self, text):
-        got = _outcome(lambda: ingest_csv(io.StringIO(text)))
-        want = _outcome(lambda: oracles.csv_rowwise(text))
-        assert got[0] == want[0] and got[2] == want[2]
-        if got[0] == "ok":
-            data, (names, values) = got[1], want[1]
-            assert data.names == names
-            assert data.values.tobytes() == values.tobytes()
-        else:
-            assert got[1] == want[1]
-
-    @settings(max_examples=300, deadline=None)
-    @given(csv_texts(stratify=True))
-    def test_ingest_csv_stratified(self, text):
-        got = _outcome(lambda: ingest_csv_stratified(io.StringIO(text), "s"))
-        want = _outcome(lambda: oracles.csv_rowwise_stratified(text, "s"))
-        assert got[0] == want[0] and got[2] == want[2]
-        if got[0] == "ok":
-            assert [label for label, _ in got[1]] == [label for label, _, _ in want[1]]
-            for (_, data), (_, names, values) in zip(got[1], want[1]):
+    @settings(max_examples=1000, deadline=None)
+    @given(text=csv_texts())
+    def test_ingest_csv(self, tmp_path_factory, text):
+        for source, name in _sources(tmp_path_factory.getbasetemp(), text):
+            got = _outcome(lambda: ingest_csv(source))
+            want = _outcome(lambda: oracles.csv_rowwise(text, name))
+            assert got[0] == want[0] and got[2] == want[2]
+            if got[0] == "ok":
+                data, (names, values) = got[1], want[1]
                 assert data.names == names
                 assert data.values.tobytes() == values.tobytes()
-        else:
-            assert got[1] == want[1]
+            else:
+                assert got[1] == want[1]
+
+    @settings(max_examples=800, deadline=None)
+    @given(text=csv_texts(stratify=True))
+    def test_ingest_csv_stratified(self, tmp_path_factory, text):
+        for source, name in _sources(tmp_path_factory.getbasetemp(), text):
+            got = _outcome(lambda: ingest_csv_stratified(source, "s"))
+            want = _outcome(lambda: oracles.csv_rowwise_stratified(text, "s", name))
+            assert got[0] == want[0] and got[2] == want[2]
+            if got[0] == "ok":
+                assert [label for label, _ in got[1]] == [label for label, _, _ in want[1]]
+                for (_, data), (_, names, values) in zip(got[1], want[1]):
+                    assert data.names == names
+                    assert data.values.tobytes() == values.tobytes()
+            else:
+                assert got[1] == want[1]
 
     def test_categorical_one_level_keeps_float_spelling(self):
         data = ingest_csv(io.StringIO("v,y\n1,1\nb,2\n1,3\n b ,4\n"))
