@@ -36,15 +36,9 @@ class DegenerateExposureError(ConfoundLensError):
 class ParseError(ConfoundLensError):
     """Malformed input file."""
 
-    def __init__(self, message: str, row: int | None = None, column: str | None = None):
-        loc = []
-        if row is not None:
-            loc.append(f"row {row}")
-        if column is not None:
-            loc.append(f"column {column!r}")
-        super().__init__(f"{message} ({', '.join(loc)})" if loc else message)
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
-        self.column = column
 
 
 class EmptyAfterFilteringError(ConfoundLensError):

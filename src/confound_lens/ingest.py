@@ -16,8 +16,10 @@ line and the header's field count on every line is cut into cells by one
 `str.split` on "," after each "\n" became ",": the cells csv.reader would
 give, without a list per row.  Any other text goes to csv.reader, whose
 records give every ragged-row error and row number as before.  A file's lines
-end at CR, LF or CRLF (it is opened with newline=""), a stream's where the
-stream ends them.
+end at CR, LF or CRLF (it is opened with newline=""), a stream's at LF only:
+stdin's universal newlines have already made every line end one, and a CR
+left in a stream's text is a ParseError.  A stream is read by one read(), so
+a byte that is not UTF-8 is reported at its offset in the input, as in a file.
 
 The table is parsed column by column: each column is first read by one C-level
 `float` pass, and only a column where that pass fails (a blank cell or a
@@ -46,20 +48,19 @@ _WRITE_BLOCK_ROWS = 4096
 
 def _read_table(source) -> tuple[list[str], list[list[str]]]:
     """Header names and the raw (unstripped) cells of each data column."""
+    is_path = isinstance(source, (str, Path))
     try:
-        if isinstance(source, (str, Path)):
+        if is_path:
             with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 text = fh.read()
-            lines = None
         else:
-            lines = source.readlines()  # the stream's own line ends
-            text = "".join(lines)
+            text = source.read()  # decoded in one piece: an error names the input offset
     except UnicodeDecodeError as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     table = _split_plain(text)
     if table is None:
-        # StringIO(newline="") ends lines at "\r", "\n" and "\r\n", as the file did
-        table = _split_csv(io.StringIO(text, newline="") if lines is None else lines)
+        # a file's lines end at "\r", "\n" and "\r\n", a stream's at "\n"
+        table = _split_csv(io.StringIO(text, newline="" if is_path else "\n"))
     return table
 
 
@@ -88,9 +89,9 @@ def _split_plain(text: str) -> tuple[list[str], list[list[str]]] | None:
     return header, [fields[j::ncol] for j in range(ncol, 2 * ncol)]
 
 
-def _split_csv(lines) -> tuple[list[str], list[list[str]]]:
+def _split_csv(stream: io.StringIO) -> tuple[list[str], list[list[str]]]:
     try:
-        records = list(csv.reader(lines))  # a blank line reads as an empty record
+        records = list(csv.reader(stream))  # a blank line reads as an empty record
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     header_row = next((i for i, row in enumerate(records, start=1) if row), None)

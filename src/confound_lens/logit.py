@@ -138,33 +138,25 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
     )
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    n = scores.shape[0]
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], n]
-    avg = 0.5 * (starts + 1 + ends)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg, ends - starts)
-    return ranks
-
-
 def c_statistic(scores, outcome) -> float:
     """Probability that a random positive case outranks a random negative one
     by `scores`, such as a fit's `fitted_probabilities`.
 
     Ties count one half (the Mann-Whitney convention), so a constant score
-    gives exactly 0.5.  Computed by sort-and-rank in O(n log n).
+    gives exactly 0.5.  Computed by sort-and-rank in O(n log n).  Scores must
+    be finite: a NaN has no rank among them.
     """
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     if scores.shape != y.shape:
         raise DomainError("scores and outcome must have the same length")
+    if not np.isfinite(scores).all():
+        raise DomainError("scores must be finite")
     _check_binary(y, "outcome")
     n_pos = int(y.sum())
     n_neg = y.shape[0] - n_pos
-    ranks = _average_ranks(scores)
+    # ranks 1..n, each tie at the average of the ranks it spans
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     u = ranks[y == 1.0].sum() - 0.5 * n_pos * (n_pos + 1)
     return float(u / (n_pos * n_neg))

@@ -8,7 +8,7 @@ where it matters.  Centred regressors keep any covariate's origin out of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,12 +77,6 @@ def _design(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, means
 
 
-def _shifted(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes y (..., n) less their first values y0, and y0.  Less their mean,
-    the intercept would be 0 and its rounding error in every residual."""
-    return y - y[..., :1], y[..., 0]
-
-
 def _check_rank(R: np.ndarray) -> None:
     """Raise RankDeficientError for a collinear design, given its R factor.
 
@@ -135,6 +129,19 @@ def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance)
     return beta, se, np.where((se == 0.0) & (beta == 0.0), 0.0, t_values)
 
 
+def _fit(values: np.ndarray, y: np.ndarray):
+    """The centred fit of outcomes y (..., n) on an intercept and the regressors
+    `values` (..., n, k), for one design or a stack: coefficients, standard
+    errors, t-values, residuals, RSS and y less its first value, which is the
+    outcome fitted.  Less its mean, the intercept would be 0 and its rounding
+    error in every residual."""
+    X, means = _design(values)
+    shifted = y - y[..., :1]
+    beta, residuals, rss, R = _least_squares(X, shifted)
+    n, p = X.shape[-2:]
+    return (*_inference(beta, R, y[..., 0], means, rss / (n - p)), residuals, rss, shifted)
+
+
 def _r_squared(y: np.ndarray, rss: float) -> float:
     """Centered R^2; 1 when y has no variation to explain."""
     if y.min() == y.max():  # y - mean(y) would be rounding noise
@@ -150,13 +157,11 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     freedom, p counting the intercept.  r_squared is centered.  With no
     regressors this is the intercept-only fit.
     """
-    y, y0 = _shifted(data.column(outcome))
-    X, means = _design(data.matrix(list(regressors)))
-    beta, residuals, rss, R = _least_squares(X, y)
-    n, p = X.shape
-    df_residual = n - p
+    y = data.column(outcome)  # a missing outcome is named before a missing regressor
+    beta, standard_errors, t_values, residuals, rss, shifted = _fit(
+        data.matrix(list(regressors)), y)
+    df_residual = data.n - len(regressors) - 1
     residual_variance = float(rss) / df_residual
-    beta, standard_errors, t_values = _inference(beta, R, y0, means, residual_variance)
     p_values = np.array([2.0 * (1.0 - t_cdf(abs(t), df_residual)) for t in t_values])
 
     return OlsFit(
@@ -166,11 +171,11 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         standard_errors=standard_errors,
         t_values=t_values,
         p_values=p_values,
-        r_squared=_r_squared(y, float(rss)),
+        r_squared=_r_squared(shifted, float(rss)),
         residual_variance=residual_variance,
         df_residual=df_residual,
         residuals=residuals,
-        n=n,
+        n=data.n,
     )
 
 
@@ -184,9 +189,10 @@ def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
     if len(regressors) < 2:
         raise DomainError("vif needs at least two regressors")
     values = data.matrix(regressors)
-    X, _ = _design(values)
-    ys, _ = _shifted(values.T)  # row j: the outcome of regressor j's refit on the rest
-    _, _, rss, _ = _least_squares(np.stack([np.delete(X, j, 1) for j in range(1, len(X.T))]), ys)
-    _check_rank(np.linalg.qr(X, mode="r"))  # after the refits' own row count check
+    # refit j: regressor j, row j of values.T, on the others
+    *_, rss, ys = _fit(np.stack([np.delete(values, j, 1) for j in range(len(regressors))]),
+                       values.T)
+    # a collinearity among all k regressors leaves every refit full rank
+    _check_rank(np.linalg.qr(_design(values)[0], mode="r"))
     slacks = [1.0 - _r_squared(y, float(r)) for y, r in zip(ys, rss)]
     return [float("inf") if slack <= 0.0 else 1.0 / slack for slack in slacks]

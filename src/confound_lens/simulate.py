@@ -30,7 +30,7 @@ from .bias import (BiasDecomposition, ExposureModelStats, ProxyModel, decompose_
 from .dataset import Dataset
 from .distributions import _BLOCK, normal_quantile_vec
 from .errors import DomainError
-from .ols import _design, _inference, _least_squares, _shifted
+from .ols import _fit
 from .sensitivity import (TreatmentSummary, partial_r2, robustness_value,
                           robustness_value_alpha)
 
@@ -234,11 +234,9 @@ def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
     stats = []
     for start in range(0, replicates, stack):
         draws = _draws(spec, n, seeds[start:start + stack])
-        X, means = _design(draws[..., 2:0:-1])  # C-contiguous: 1, a, x centred
-        y, y0 = _shifted(draws[..., 3])
-        beta, _, rss, R = _least_squares(X, y)
-        stats.append(np.stack(_inference(beta, R, y0, means, rss / (n - 3)))[..., 1])
-        del draws, X  # before the next stack is drawn
+        # beta, se and t of a in y ~ 1 + a + x; the stack's residuals go with the call
+        stats.append(np.stack(_fit(draws[..., 2:0:-1], draws[..., 3])[:3])[..., 1])
+        del draws  # before the next stack is drawn
     beta_hats, std_errors, t_values = np.concatenate(stats, axis=1)
     summaries = [TreatmentSummary(t_value=float(t), df=n - 3) for t in t_values]
     return ReplicateSummary(

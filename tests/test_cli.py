@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_lens import (Dataset, cli, collinearity_ratio, exposure_stats_from_ols,
-                           fit_ols, robustness_value, TreatmentSummary)
+                           fit_ols, logit, robustness_value, TreatmentSummary)
 from confound_lens.cli import main
 from confound_lens.ingest import dataset_to_csv
 
@@ -464,6 +464,42 @@ class TestExitCodes:
                                "--exposure", "a", "--proxy", "x", "--stratify", "sex")
         assert code == 1
         assert "--stratify" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fit", "--outcome", "a"), "no regressors: pass --exposure and/or --controls"),
+        (("sensitivity", "--outcome", "a", "--controls", "b"),
+         "data mode needs --outcome and --exposure (or use --t/--df)"),
+        (("bias-grid", "--exposure", "a", "--proxy", "b", "--gamma-grid", "1:2"),
+         "argument --gamma-grid: cannot parse grid '1:2'; use 'a,b,c' or 'lo:hi:count'"),
+    ], ids=["fit-no-regressors", "sensitivity-no-exposure", "gamma-grid-1:2"])
+    def test_usage_error_precedes_reading_input(self, capsys, tmp_path, argv, message):
+        ragged = tmp_path / "ragged.csv"  # read, it would exit 2
+        ragged.write_text("a,b\n1,2\n3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--input", str(ragged))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_duplicate_indicator_name_is_parse_error(self, capsys, tmp_path):
+        # column "a" has level "x", so its indicator "a:x" repeats a header name
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a:x\nx,1\ny,2\ny,3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--outcome", "a:x",
+                                 "--controls", "a:y")
+        assert (code, out, err) == (
+            2, "", f"error: {path}: column labels must be unique, got ('a:x', 'a:x')\n")
+
+    def test_incomplete_spec_is_parse_error(self, capsys, tmp_path):
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps({"beta": 1.0, "gamma": 0.5}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--preset", str(spec_path), "--n", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {spec_path}: incomplete model spec: ")
+
+    def test_logit_non_convergence_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(logit, "MAX_ITERATIONS", 1)
+        code, out, err = run_cli(capsys, "logit", "--input", FIXTURE, "--outcome", "smoker",
+                                 "--controls", "age,poverty_index")
+        assert (code, out) == (4, "")
+        assert err == "error: logistic fit did not converge in 1 iterations\n"
 
     def test_unexpected_failure_exit_5_without_traceback(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):

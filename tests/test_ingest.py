@@ -301,17 +301,25 @@ class TestEdgeCases:
         finally:
             csv.field_size_limit(limit)
 
+    BAD_BYTE = b"a,b\n" + b"1,2\n" * 3000 + b"\xff,3\n"  # at offset 12004
+
     def test_undecodable_byte_reports_its_offset_in_the_file(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + b"\xff,3\n")
+        path.write_bytes(self.BAD_BYTE)
         with pytest.raises(ParseError, match=r"^malformed CSV: .* in position 12004: "):
             ingest_csv(path)
 
+    def test_undecodable_byte_reports_its_offset_in_a_stream(self):
+        # a text wrapper decodes in chunks of 8 KiB, so a read by lines reports 3812
+        stream = io.TextIOWrapper(io.BytesIO(self.BAD_BYTE), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^malformed CSV: .* in position 12004: "):
+            ingest_csv(stream)
+
 
 class TestLineEnds:
-    """A file is read with newline="", so a lone CR ends a record; a stream
-    keeps its own line ends, so in sys.stdin or a default StringIO a lone CR
-    sits inside a field, which csv.reader rejects."""
+    """A file is read with newline="", so a lone CR ends a record; a stream's
+    lines end at LF only, so in any stream a lone CR sits inside a field,
+    which csv.reader rejects.  sys.stdin has already turned CR into LF."""
 
     TEXT = "a,b\r1,2\r3,4\r"
 
@@ -328,6 +336,12 @@ class TestLineEnds:
         assert info.value.row is None
         with pytest.raises(ParseError, match=message):
             ingest_csv_stratified(io.StringIO(self.TEXT), "a")
+
+    def test_lone_cr_in_a_stream_opened_with_newline_off_is_a_parse_error(self):
+        for stream in (io.StringIO(self.TEXT, newline=""), io.TextIOWrapper(
+                io.BytesIO(self.TEXT.encode("utf-8")), encoding="utf-8", newline="")):
+            with pytest.raises(ParseError, match="new-line character seen in unquoted field"):
+                ingest_csv(stream)
 
     def test_lone_cr_on_stdin_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(self.TEXT))
@@ -386,12 +400,21 @@ def csv_texts(draw, stratify=False):
         header = ["s"] + header
         pools = [["M", "F", " M", "M ", "", " ", "F"]] + pools
     blank_lines = draw(st.booleans())  # without any, a text can take the split path
+    rows = [[draw(st.one_of(st.sampled_from(pool),
+                            st.text(CELL_ALPHABET, max_size=4)) if len(pool) > 2
+                  else st.sampled_from(pool))
+             for pool in pools]
+            for _ in range(nrows)]
+    # rows with one field too many (+1) or too few (-1); a pair of them leaves
+    # the text's total field count that of a rectangular table
+    ragged = draw(st.sampled_from([()] * 4 + [(1,), (-1,), (1, -1), (-1, 1)]))
+    if 0 < len(ragged) <= nrows:
+        at = draw(st.lists(st.integers(0, nrows - 1), min_size=len(ragged),
+                           max_size=len(ragged), unique=True))
+        for i, extra in zip(sorted(at), ragged):
+            rows[i] = rows[i] + rows[i][-1:] if extra > 0 else rows[i][:-1]
     lines = [",".join(header)]
-    for _ in range(nrows):
-        cells = [draw(st.one_of(st.sampled_from(pool),
-                                st.text(CELL_ALPHABET, max_size=4)) if len(pool) > 2
-                      else st.sampled_from(pool))
-                 for pool in pools]
+    for cells in rows:
         lines.append(",".join(cells))
         if blank_lines and draw(st.integers(0, 9)) == 0:
             lines.append("")  # a blank line

@@ -6,6 +6,7 @@ import pytest
 from confound_lens import (Dataset, NoVariationError, SeparationError,
                            c_statistic, fit_logit, ingest_csv)
 from confound_lens.errors import DomainError, InsufficientRowsError, RankDeficientError
+from confound_lens import logit
 from confound_lens.logit import _sigmoid
 
 import oracles
@@ -161,6 +162,47 @@ class TestFitLogit:
         score = X.T @ (y - fit.fitted_probabilities)
         assert np.max(np.abs(score)) <= 1e-8
 
+    # (y, x1, x2, x3): cubed exponential draws, rounded to 6 decimals.  The full
+    # Newton step from the second iterate lowers the log-likelihood.
+    HEAVY_TAILED = np.array([
+        (1, 0.114227, 0.433272, 0.005824),
+        (1, 0.013302, 1.065067, 0.02242),
+        (1, 0.025363, 0.041689, 0.000664),
+        (0, 18.750983, 0.413383, 1.372315),
+        (1, 0.3168, 1.886416, 4e-06),
+        (0, 0.009371, 0.108328, 2.765283),
+        (0, 0.004249, 0.187654, 0.333075),
+        (1, 4.970722, 117.913501, 29.376745),
+        (1, 0.002389, 0.012759, 18.165539),
+        (0, 7.905477, 0.015061, 1.831512),
+        (1, 7.171397, 0.005575, 3.100541),
+        (0, 1.439127, 0.064435, 0.004896),
+        (0, 0.000462, 2.945677, 0.197497),
+        (0, 101.276244, 244.159702, 3.5e-05),
+        (0, 12.364181, 2.202842, 0.020199),
+        (1, 0.335118, 0.036165, 0.526373),
+        (1, 0.004355, 1e-06, 1.169419),
+        (0, 0.002664, 3.947269, 0.005461),
+        (0, 0.027619, 1.906883, 1.960285),
+        (1, 0.012228, 0.061916, 0.002844),
+        (1, 0.002543, 16.971747, 17.601171),
+    ])
+
+    def test_step_halving_still_reaches_the_score_equations(self, monkeypatch):
+        evaluations = []
+        log_likelihood = logit._log_likelihood
+        monkeypatch.setattr(logit, "_log_likelihood",
+                            lambda y, eta: evaluations.append(1) or log_likelihood(y, eta))
+        y, X = self.HEAVY_TAILED[:, 0], self.HEAVY_TAILED[:, 1:]
+        fit = fit_logit(Dataset(("y", "x1", "x2", "x3"), self.HEAVY_TAILED), "y",
+                        ["x1", "x2", "x3"])
+        assert fit.converged
+        # one evaluation at the start and one per full step; any more were halvings
+        assert len(evaluations) > 1 + fit.iterations
+        X = np.column_stack([np.ones(len(y)), X])
+        score = X.T @ (y - fit.fitted_probabilities)
+        assert np.max(np.abs(score)) <= 1e-8
+
     def test_fitted_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=80) * 3
@@ -228,6 +270,12 @@ class TestCStatistic:
         base = c_statistic(scores, y)
         for transform in (np.exp, lambda s: 3 * s - 1, lambda s: s ** 3):
             assert c_statistic(transform(scores), y) == pytest.approx(base, abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        # a NaN has no place among the ranks, so it would rank by its row
+        with pytest.raises(DomainError, match="scores must be finite"):
+            c_statistic(np.array([0.2, bad, 0.4, 0.1]), np.array([0.0, 1.0, 1.0, 0.0]))
 
     def test_single_class_raises(self):
         with pytest.raises(NoVariationError):

@@ -279,23 +279,12 @@ class TestStackedKernel:
     @settings(max_examples=200, deadline=None)
     @given(design_stacks())
     def test_each_fit_of_a_stack_is_bit_identical_to_its_single_fit(self, values):
-        (X, means), (y, y0) = ols._design(values[..., :-1]), ols._shifted(values[..., -1])
-        df = X.shape[1] - X.shape[2]
-        stacked = ols._least_squares(X, y)
-        stacked_inference = ols._inference(stacked[0].copy(), stacked[3], y0, means,
-                                           stacked[2] / df)
-        for i in range(X.shape[0]):
-            single_design = ols._design(values[i, :, :-1])
-            single_y = ols._shifted(values[i, :, -1])
-            for a, b in zip(single_design + single_y, (X, means, y, y0)):
+        stacked = ols._fit(values[..., :-1], values[..., -1])
+        for i in range(values.shape[0]):
+            single = ols._fit(values[i, :, :-1], values[i, :, -1])
+            # coefficients, standard errors, t-values, residuals, RSS, outcome fitted
+            for a, b in zip(single, stacked, strict=True):
                 assert np.asarray(a).tobytes() == b[i].tobytes()
-            single = ols._least_squares(single_design[0], single_y[0])
-            for a, b in zip(single, stacked):
-                assert np.asarray(a).tobytes() == b[i].tobytes()
-            single_inference = ols._inference(single[0].copy(), single[3], single_y[1],
-                                              single_design[1], float(single[2]) / df)
-            for a, b in zip(single_inference, stacked_inference):
-                assert a.tobytes() == b[i].tobytes()
 
     def test_rank_check_of_a_stack_fails_for_any_collinear_design(self):
         X = np.random.default_rng(0).normal(size=(3, 20, 2))
