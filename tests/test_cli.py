@@ -473,7 +473,7 @@ class TestExitCodes:
          "argument --gamma-grid: cannot parse grid '1:2'; use 'a,b,c' or 'lo:hi:count'"),
     ], ids=["fit-no-regressors", "sensitivity-no-exposure", "gamma-grid-1:2"])
     def test_usage_error_precedes_reading_input(self, capsys, tmp_path, argv, message):
-        ragged = tmp_path / "ragged.csv"  # read, it would exit 2
+        ragged = tmp_path / "ragged.csv"  # exit 2, were it read
         ragged.write_text("a,b\n1,2\n3\n", encoding="utf-8")
         code, out, err = run_cli(capsys, *argv, "--input", str(ragged))
         assert (code, out, err) == (1, "", f"error: {message}\n")

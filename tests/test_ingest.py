@@ -310,7 +310,7 @@ class TestEdgeCases:
             ingest_csv(path)
 
     def test_undecodable_byte_reports_its_offset_in_a_stream(self):
-        # a text wrapper decodes in chunks of 8 KiB, so a read by lines reports 3812
+        # the text wrapper decodes in chunks of 8 KiB; the offset is the input's, not a chunk's
         stream = io.TextIOWrapper(io.BytesIO(self.BAD_BYTE), encoding="utf-8")
         with pytest.raises(ParseError, match=r"^malformed CSV: .* in position 12004: "):
             ingest_csv(stream)
@@ -337,7 +337,7 @@ class TestLineEnds:
         with pytest.raises(ParseError, match=message):
             ingest_csv_stratified(io.StringIO(self.TEXT), "a")
 
-    def test_lone_cr_in_a_stream_opened_with_newline_off_is_a_parse_error(self):
+    def test_lone_cr_in_a_stream_opened_with_newline_empty_is_a_parse_error(self):
         for stream in (io.StringIO(self.TEXT, newline=""), io.TextIOWrapper(
                 io.BytesIO(self.TEXT.encode("utf-8")), encoding="utf-8", newline="")):
             with pytest.raises(ParseError, match="new-line character seen in unquoted field"):
