@@ -7,23 +7,29 @@ level is the most frequent one (ties broken by sort order).  Rows with a
 missing value in any column are dropped, with a counted warning.  Cells that
 parse to non-finite floats (nan, inf) also count as missing.
 
-Cells may be padded with whitespace, blank lines are skipped, and a leading
-UTF-8 byte-order mark is ignored.  Row numbers in a ParseError are the file's
-record numbers, blank lines included.
+Cells may be padded with whitespace and blank lines are skipped.  Row
+numbers in a ParseError are the file's record numbers, blank lines included.
 
-The source's text is read once.  A text with no quote, CR or NUL, no blank
-line and the header's field count on every line is cut into cells by one
-`str.split` on "," after each "\n" became ",": the cells csv.reader would
-give, without a list per row.  Any other text goes to csv.reader, whose
-records give every ragged-row error and row number as before.  A file's lines
-end at CR, LF or CRLF (it is opened with newline=""), a stream's at LF only:
-stdin's universal newlines have already made every line end one, and a CR
-left in a stream's text is a ParseError.  A stream is read by one read(), so
-a byte that is not UTF-8 is reported at its offset in the input, as in a file.
+`_read_table` decides once what the input is: a path (str or Path), opened
+as plain UTF-8, or an open text stream.  Either is read in one piece, so a
+byte that is not UTF-8 is reported at its offset in the input, a byte-order
+mark's included; a stream whose read() gives bytes is a ParseError.  One
+leading U+FEFF (the mark) is dropped from the text, from a file or a stream.
+
+A text with no quote, CR or NUL, no blank line and the header's field count
+on every line is cut into cells by one `str.split` on "," after each "\n"
+became ",": the cells csv.reader would give, without a list per row.  Any
+other text goes to csv.reader, whose records give every ragged-row error and
+row number as before.  A file's lines end at CR, LF or CRLF (it is opened
+with newline=""), a stream's at LF only: stdin's universal newlines have
+already made every line end one, and a CR left in a stream's text is a
+ParseError.
 
 The table is parsed column by column: each column is first read by one C-level
 `float` pass, and only a column where that pass fails (a blank cell or a
-categorical level) is parsed cell by cell, once per distinct string.
+categorical level) is parsed cell by cell, once per distinct string.  That
+pass decides number or text once: a row is text exactly where it is not
+missing and its value is nan.
 """
 
 from __future__ import annotations
@@ -42,26 +48,31 @@ import numpy as np
 from .dataset import Dataset
 from .errors import EmptyAfterFilteringError, ParseError
 
-_MISSING = object()
 _WRITE_BLOCK_ROWS = 4096
 
 
-def _read_table(source) -> tuple[list[str], list[list[str]]]:
-    """Header names and the raw (unstripped) cells of each data column."""
+def _read_table(source) -> tuple[str, list[str], list[list[str]]]:
+    """The source's name in messages, its header names and the raw
+    (unstripped) cells of each data column."""
     is_path = isinstance(source, (str, Path))
+    name = str(source) if is_path else "<stream>"
     try:
         if is_path:
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
         else:
             text = source.read()  # decoded in one piece: an error names the input offset
     except UnicodeDecodeError as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
+    if not isinstance(text, str):
+        raise ParseError(f"{name}: read {type(text).__name__}, not text; "
+                         "open the stream in text mode")
+    text = text.removeprefix("\ufeff")  # one byte-order mark, from a file or a stream
     table = _split_plain(text)
     if table is None:
         # a file's lines end at "\r", "\n" and "\r\n", a stream's at "\n"
         table = _split_csv(io.StringIO(text, newline="" if is_path else "\n"))
-    return table
+    return (name, *table)
 
 
 def _split_plain(text: str) -> tuple[list[str], list[list[str]]] | None:
@@ -109,7 +120,6 @@ def _split_csv(stream: io.StringIO) -> tuple[list[str], list[list[str]]]:
 
 def _header(fields: list[str], row: int) -> list[str]:
     header = [h.strip() for h in fields]
-    header[0] = header[0].removeprefix("\ufeff").strip()  # a BOM in a text stream
     if any(not h for h in header):
         raise ParseError("header contains an empty column name", row=row)
     dupes = [h for h, c in Counter(header).items() if c > 1]
@@ -118,29 +128,16 @@ def _header(fields: list[str], row: int) -> list[str]:
     return header
 
 
-def _parse_cell(cell: str):
-    if cell == "":
-        return _MISSING
-    try:
-        value = float(cell)
-    except ValueError:
-        return cell  # stays a string: categorical level
-    if not math.isfinite(value):
-        return _MISSING
-    return value
-
-
 class _Column(NamedTuple):
     """One parsed column.  `codes` is None when every cell is a float.  Else
     each row's code indexes `levels`, where code 0 (level None) marks a
-    missing cell, and `text[code]` says whether a level is a categorical
-    string rather than the str() of a number."""
+    missing cell.  A row holds text (a categorical level) exactly where it
+    is not missing and its value is nan."""
 
     values: np.ndarray  # float64 per row, nan where missing or text
     missing: np.ndarray  # bool per row
     codes: np.ndarray | None = None
     levels: list | None = None
-    text: np.ndarray | None = None
 
     def take(self, rows: np.ndarray) -> "_Column":
         return self._replace(values=self.values[rows], missing=self.missing[rows],
@@ -157,21 +154,20 @@ def _parse_column(cells: list[str]) -> _Column:
         return _Column(values, ~np.isfinite(values))
     code_of: dict[str | None, int] = {None: 0}
     numbers = [math.nan]
-    text = [False]
     code_of_cell = {}
     for cell in dict.fromkeys(cells):
-        value = _parse_cell(cell.strip())
-        level = None if value is _MISSING else str(value)
-        code = code_of.get(level)
-        if code is None:
-            code = code_of[level] = len(code_of)
-            is_text = isinstance(value, str)
-            numbers.append(math.nan if is_text else value)
-            text.append(is_text)
-        code_of_cell[cell] = code
+        level = cell.strip()
+        try:
+            value = float(level)
+        except ValueError:  # "" is missing, any other text a categorical level
+            value, level = math.nan, level or None
+        else:  # a number's level is its str(); nan and inf are missing
+            level = str(value) if math.isfinite(value) else None
+        code = code_of_cell[cell] = code_of.setdefault(level, len(code_of))
+        if code == len(numbers):
+            numbers.append(value)
     codes = np.fromiter(map(code_of_cell.__getitem__, cells), np.intp, n)
-    return _Column(np.array(numbers)[codes], codes == 0, codes, list(code_of),
-                   np.array(text))
+    return _Column(np.array(numbers)[codes], codes == 0, codes, list(code_of))
 
 
 def _build_dataset(header: list[str], columns: list[_Column], n: int,
@@ -193,7 +189,7 @@ def _build_dataset(header: list[str], columns: list[_Column], n: int,
     arrays: list[np.ndarray] = []
     for col_name, col in zip(header, columns):
         # a column is categorical when any of its cells, kept or not, is text
-        if col.codes is None or not col.text[col.codes].any():
+        if not (np.isnan(col.values) & ~col.missing).any():
             names.append(col_name)
             arrays.append(col.values[keep])
             continue
@@ -218,8 +214,7 @@ def _build_dataset(header: list[str], columns: list[_Column], n: int,
 
 def ingest_csv(source) -> Dataset:
     """Read a CSV file (path or open text stream) into a Dataset."""
-    name = str(source) if isinstance(source, (str, Path)) else "<stream>"
-    header, cells = _read_table(source)
+    name, header, cells = _read_table(source)
     return _build_dataset(header, [_parse_column(c) for c in cells], len(cells[0]), name)
 
 
@@ -230,8 +225,7 @@ def ingest_csv_stratified(source, stratify: str) -> list[tuple[str, Dataset]]:
     rows with a missing stratum value are dropped up front.  Indicator
     expansion happens independently within each stratum.
     """
-    name = str(source) if isinstance(source, (str, Path)) else "<stream>"
-    header, cells = _read_table(source)
+    name, header, cells = _read_table(source)
     if stratify not in header:
         raise KeyError(f"no column {stratify!r}; available: {', '.join(header)}")
     j = header.index(stratify)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -116,6 +117,24 @@ class TestByteOrderMark:
                      "--format", "json", "--deterministic"])
         assert code == 0, capsys.readouterr().err
 
+    def test_bom_then_blank_line_reads_alike_from_a_path_and_stdin(
+            self, tmp_path, capsys, monkeypatch):
+        # EDGE_CASES reads such a text through ingest_csv from a file and a stream
+        text = "\ufeff\na,b\n1,2\n3,5\n4,4\n6,9\n"
+        path = _write(tmp_path, text)
+        argv = ["fit", "--outcome", "a", "--exposure", "b", "--format", "json",
+                "--deterministic", "--input"]
+        reports = []
+        for source in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(argv + [source])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            echoed = f'"input": {json.dumps(source)},'
+            assert out.count(echoed) == 1
+            reports.append(out.replace(echoed, '"input": "<input>",'))
+        assert reports[0] == reports[1]
+
 
 class TestCategoricalExpansion:
     def test_most_frequent_level_is_reference(self, tmp_path):
@@ -180,6 +199,19 @@ class TestStratified:
         assert "c:q" in by_label["A"].names
         assert by_label["B"].names == ("y",)
 
+    def test_only_the_stratify_column_leaves_no_usable_columns(self, tmp_path):
+        path = _write(tmp_path, "s\nA\nB\n")
+        with pytest.raises(ParseError, match=r"\[s=A\]: no usable columns$"):
+            ingest_csv_stratified(path, "s")
+
+    def test_column_is_text_in_one_stratum_and_numeric_in_another(self, tmp_path):
+        path = _write(tmp_path, "s,v,y\nA,1,1\nA,x,2\nA,1,3\nB,1,4\nB,2,5\n")
+        by_label = dict(ingest_csv_stratified(path, "s"))
+        assert by_label["A"].names == ("v:x", "y")
+        assert by_label["A"].values.tolist() == [[0, 1], [1, 2], [0, 3]]
+        assert by_label["B"].names == ("v", "y")
+        assert by_label["B"].values.tolist() == [[1, 4], [2, 5]]
+
 
 class TestFixture:
     def test_bundled_fixture_ingests(self):
@@ -210,6 +242,12 @@ EDGE_CASES = {
         "a,b\r\n1,2\r\n3,4\r\n", (("a", "b"), [[1, 2], [3, 4]], [])),
     "BOM": (
         "\ufeffa,b\n1,2\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "BOM then a blank line": (
+        "\ufeff\na,b\n1,2\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
+    "two BOMs": (
+        "\ufeff\ufeffa,b\n1,2\n3,4\n", (("\ufeffa", "b"), [[1, 2], [3, 4]], [])),
+    "BOM after a blank line": (
+        "\n\ufeffa,b\n1,2\n3,4\n", (("\ufeffa", "b"), [[1, 2], [3, 4]], [])),
     "leading blank line": (
         "\na,b\n1,2\n3,4\n", (("a", "b"), [[1, 2], [3, 4]], [])),
     "mid-file blank line": (
@@ -314,6 +352,25 @@ class TestEdgeCases:
         stream = io.TextIOWrapper(io.BytesIO(self.BAD_BYTE), encoding="utf-8")
         with pytest.raises(ParseError, match=r"^malformed CSV: .* in position 12004: "):
             ingest_csv(stream)
+
+    def test_undecodable_byte_offset_counts_the_bom(self, tmp_path):
+        raw = b"\xef\xbb\xbfa,b\n1,\xff\n"  # the bad byte is at offset 9
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        for source in (path, stream):
+            with pytest.raises(ParseError, match=r"^malformed CSV: 'utf-8' .* in position 9: "):
+                ingest_csv(source)
+
+    def test_binary_stream_is_a_parse_error(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\n")
+        message = r"^<stream>: read bytes, not text; open the stream in text mode$"
+        with open(path, "rb") as fh:
+            for stream in (io.BytesIO(b"a,b\n1,2\n"), fh):
+                with pytest.raises(ParseError, match=message):
+                    ingest_csv(stream)
+        with pytest.raises(ParseError, match=message):
+            ingest_csv_stratified(io.BytesIO(b"a,b\n1,2\n"), "a")
 
 
 class TestLineEnds:

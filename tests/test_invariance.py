@@ -1,22 +1,36 @@
-"""A covariate's origin and units change no fit but through the intercept and
-that covariate's own slope.
+"""No result depends on a choice the user should be free to make.
 
-Shifting one covariate by up to 1e12, or scaling it by 10^-8 to 10^8, must
-leave every slope and slope standard error (the scaled covariate's own
-multiplied back by the scale), every VIF and the collinearity ratio within
-TOL relative of the original fit, and the rank and convergence verdicts
-unchanged.  Covariates sit on a grid of 2^-10 below 2^12 in magnitude, so
-every shift of up to 1e12 is exact: the shifted data are the same data.
+A covariate's origin and units change no fit but through the intercept and
+that covariate's own slope.  Shifting one covariate by up to 1e12, or
+scaling it by 10^-8 to 10^8, must leave every slope and slope standard error
+(the scaled covariate's own multiplied back by the scale), every VIF and the
+collinearity ratio within TOL relative of the original fit, and the rank and
+convergence verdicts unchanged.  Covariates sit on a grid of 2^-10 below
+2^12 in magnitude, so every shift of up to 1e12 is exact: the shifted data
+are the same data.
+
+The order of the rows changes no verdict, no logit iteration count and no
+slope, SE, VIF or ratio by more than TOL relative.  The order of a CSV's
+columns changes no byte of a `--deterministic` JSON report but the echoed
+input path.
 """
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_lens import (Dataset, DegenerateExposureError, InsufficientRowsError,
                            NoVariationError, RankDeficientError, SeparationError, fit_logit,
                            fit_ols, ratio_point_estimate, vif)
+from confound_lens.cli import main
 from confound_lens.logit import _sigmoid
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv"
 
 TOL = 1e-9
 
@@ -122,3 +136,56 @@ def test_origin_and_units_of_a_covariate_change_no_slope_se_or_verdict(design, d
         scale = amount if kind == "scale" else 1.0
         np.testing.assert_allclose(_undo(name, a, j, k, scale), b, rtol=TOL, atol=0.0,
                                    err_msg=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(designs(), st.data())
+def test_row_order_changes_no_slope_se_or_verdict(design, data):
+    covariates, y, y01 = design
+    rows = np.array(data.draw(st.permutations(range(len(y))), label="row order"))
+    before, after = _fits(covariates, y, y01), _fits(covariates[rows], y[rows], y01[rows])
+    for name in before:
+        b, a = before[name], after[name]
+        assert _verdict(a) == _verdict(b), name
+        if isinstance(b, str):
+            continue
+        if name == "logit":
+            assert a[0] == b[0], name  # converged, and in as many iterations
+            b, a = b[1], a[1]
+        np.testing.assert_allclose(a, b, rtol=TOL, atol=0.0, err_msg=name)
+
+
+REPORTS = {
+    "fit": ("fit", "--outcome", "smoker", "--exposure", "poverty_index",
+            "--controls", "age,race:Black,race:Other,education_grade"),
+    "logit": ("logit", "--outcome", "smoker",
+              "--controls", "age,race:Black,race:Other,education_grade,poverty_index"),
+    "ratio-ci": ("ratio-ci", "--exposure", "smoker", "--proxy", "poverty_index",
+                 "--controls", "age,education_grade", "--stratify", "sex"),
+    "sensitivity": ("sensitivity", "--outcome", "smoker", "--exposure", "poverty_index",
+                    "--controls", "age,education_grade"),
+}
+
+
+def _report(capsys, command, path):
+    """The command's --deterministic JSON report on the CSV at `path`, with
+    the echoed input path replaced by a placeholder."""
+    code = main([*REPORTS[command], "--input", str(path), "--format", "json",
+                 "--deterministic"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    echoed = f'"input": {json.dumps(str(path))},'
+    assert out.count(echoed) == 1
+    return out.replace(echoed, '"input": "<input>",')
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_column_order_changes_no_report(capsys, tmp_path, command):
+    with open(FIXTURE, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    order = np.random.default_rng(3).permutation(len(table[0]))
+    assert order.tolist() != sorted(order.tolist())
+    permuted = tmp_path / "permuted.csv"
+    with open(permuted, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([row[j] for j in order] for row in table)
+    assert _report(capsys, command, permuted) == _report(capsys, command, FIXTURE)
