@@ -44,7 +44,7 @@ def describe(name: str, n: int, seed: int) -> None:
           f"RV(q=1, a=0.05) {sens.rv_q_alpha:.5f}")
 
     vifs = vif(data, ["a", "x"])
-    interval = conservative_ratio_ci(data, "a", "x", [], 0.95)
+    interval = conservative_ratio_ci(fit_ols(data, "a", ["x"]), "x", 0.95)
     print(f"exposure model: VIF(a) {vifs[0]:.3f}; collinearity ratio "
           f"{interval.point_estimate:.5f}, 95% conservative CI "
           f"[{interval.lower:.5f}, {interval.upper:.5f}]")

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from confound_lens import (STUDY_PRESETS, conservative_ratio_ci, generate,
+from confound_lens import (STUDY_PRESETS, conservative_ratio_ci, fit_ols, generate,
                            population_moments)
 from confound_lens.bias import collinearity_ratio
 from confound_lens.simulate import derive_replicate_seed, exposure_stats_from_moments
@@ -41,7 +41,7 @@ def main() -> None:
     widths = []
     for r in range(args.replicates):
         data = generate(spec, args.n, derive_replicate_seed(args.seed, r))
-        interval = conservative_ratio_ci(data, "a", "x", [], args.level)
+        interval = conservative_ratio_ci(fit_ols(data, "a", ["x"]), "x", args.level)
         widths.append(interval.upper - interval.lower)
         if interval.lower <= true_ratio <= interval.upper:
             covered += 1

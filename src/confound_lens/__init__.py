@@ -14,8 +14,7 @@ from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureErro
 from .ingest import ingest_csv, ingest_csv_stratified
 from .logit import LogitFit, c_statistic, fit_logit
 from .ols import OlsFit, fit_ols, vif
-from .ratio_ci import (RatioInterval, conservative_ratio_ci, ratio_point_estimate,
-                       variance_ci, wald_ci)
+from .ratio_ci import RatioInterval, conservative_ratio_ci
 from .sensitivity import (SensitivityReport, TreatmentSummary, partial_r2,
                           robustness_value, robustness_value_alpha,
                           sensitivity_report)
@@ -39,8 +38,7 @@ __all__ = [
     "ingest_csv", "ingest_csv_stratified",
     "LogitFit", "c_statistic", "fit_logit",
     "OlsFit", "fit_ols", "vif",
-    "RatioInterval", "conservative_ratio_ci", "ratio_point_estimate",
-    "variance_ci", "wald_ci",
+    "RatioInterval", "conservative_ratio_ci",
     "SensitivityReport", "TreatmentSummary", "partial_r2", "robustness_value",
     "robustness_value_alpha", "sensitivity_report",
     "STUDY_PRESETS", "DgpSpec", "PopulationMoments", "ReplicateSummary",

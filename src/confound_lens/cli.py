@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
+from .bias import collinearity_ratio, exposure_stats_from_ols
 from .dataset import Dataset
 from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureError,
                      DomainError, EmptyAfterFilteringError, InsufficientRowsError,
@@ -35,7 +37,7 @@ from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureErro
 from .ingest import dataset_to_csv, ingest_csv, ingest_csv_stratified
 from .logit import c_statistic, fit_logit
 from .ols import fit_ols, vif
-from .ratio_ci import component_level, conservative_ratio_ci, ratio_point_estimate
+from .ratio_ci import conservative_ratio_ci
 from .sensitivity import TreatmentSummary, sensitivity_report
 from .simulate import (STUDY_PRESETS, DgpSpec, generate, population_bias_decomposition,
                        population_moments, population_ols_bias, replicate_study)
@@ -201,6 +203,20 @@ def _regressors(args) -> list[str]:
     return names
 
 
+def _exposure_fit(args, data: Dataset):
+    """The one fit of exposure ~ proxy + controls that a stratum's ratio statistics read."""
+    return fit_ols(data, args.exposure, [args.proxy, *args.controls])
+
+
+def _finite_or_none(value):
+    """`value` with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 # parsed attributes left out of a report's config: the subcommand, its
 # handler, and the flags that shape only how the report is written
 _NOT_CONFIG = ("command", "handler", "format", "output", "deterministic")
@@ -208,7 +224,8 @@ _NOT_CONFIG = ("command", "handler", "format", "output", "deterministic")
 
 def _report(args, strata, **extra_config) -> str:
     """The report of (stratum label, block) pairs as JSON or text; its
-    config echoes every parsed flag that shapes the analysis."""
+    config echoes every parsed flag that shapes the analysis.  JSON is strict
+    (RFC 8259): a non-finite float is written as null."""
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     report = {"report_version": REPORT_VERSION, "command": args.command,
               "config": {**config, **extra_config}}
@@ -216,7 +233,8 @@ def _report(args, strata, **extra_config) -> str:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     report["strata"] = [{"stratum": label, **block} for label, block in strata]
     if args.format == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_finite_or_none(report), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     return _render_text(report)
 
 
@@ -306,8 +324,8 @@ def _handle_sensitivity(args) -> str:
 
 
 def _handle_bias_grid(args) -> str:
-    data = ingest_csv(_source(args))
-    ratio = ratio_point_estimate(data, args.exposure, args.proxy, args.controls)
+    fit = _exposure_fit(args, ingest_csv(_source(args)))
+    ratio = collinearity_ratio(exposure_stats_from_ols(fit, args.proxy))
     lines = ["gamma,var_eps_x,bias"]
     lines += [f"{g!r},{v!r},{g * v * ratio!r}"
               for g in args.gamma_grid for v in args.eps_grid]
@@ -317,13 +335,9 @@ def _handle_bias_grid(args) -> str:
 def _handle_ratio_ci(args) -> str:
     strata = []
     for label, data in _load_strata(args):
-        interval = conservative_ratio_ci(data, args.exposure, args.proxy,
-                                         args.controls, args.level)
-        strata.append((label, {"ratio_ci": {
-            **asdict(interval),
-            "component_level": component_level(args.level),
-            "n": int(data.n),
-        }}))
+        fit = _exposure_fit(args, data)
+        interval = conservative_ratio_ci(fit, args.proxy, args.level)
+        strata.append((label, {"ratio_ci": {**asdict(interval), "n": fit.n}}))
     return _report(args, strata)
 
 

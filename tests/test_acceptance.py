@@ -16,10 +16,11 @@ import pytest
 
 from confound_lens import (Dataset, ExposureModelStats, ProxyModel, STUDY_PRESETS,
                            TreatmentSummary, attenuation_slope, c_statistic,
-                           chisq_cdf, chisq_quantile, conservative_ratio_ci,
+                           chisq_cdf, chisq_quantile, collinearity_ratio,
+                           conservative_ratio_ci, exposure_stats_from_ols,
                            fit_logit, fit_ols, general_bias, generate, normal_cdf,
                            normal_quantile, partial_r2, population_ols_bias,
-                           decompose_bias, ratio_point_estimate,
+                           decompose_bias,
                            replicate_study, robustness_value,
                            robustness_value_alpha, t_cdf, t_quantile)
 from confound_lens.cli import main
@@ -169,9 +170,10 @@ def test_criterion_6_ratio_ci_coverage():
     covered = 0
     for r in range(replicates):
         data = generate(spec, 10_000, 60_000 + r)
-        interval = conservative_ratio_ci(data, "a", "x", [], 0.95)
-        wide = conservative_ratio_ci(data, "a", "x", [], 0.99)
-        point = ratio_point_estimate(data, "a", "x", [])
+        fit = fit_ols(data, "a", ["x"])
+        interval = conservative_ratio_ci(fit, "x", 0.95)
+        wide = conservative_ratio_ci(fit, "x", 0.99)
+        point = collinearity_ratio(exposure_stats_from_ols(fit, "x"))
         assert interval.lower <= point <= interval.upper
         assert wide.lower <= interval.lower and interval.upper <= wide.upper
         if interval.lower <= true_ratio <= interval.upper:

@@ -12,13 +12,14 @@ import pytest
 
 from confound_lens import (STUDY_PRESETS, DgpSpec, DomainError, ExposureModelStats,
                            ProxyModel, TreatmentSummary, attenuation_slope, chisq_quantile,
-                           conservative_ratio_ci, derive_replicate_seed, generate,
+                           conservative_ratio_ci, derive_replicate_seed, fit_ols, generate,
                            normal_quantile, replicate_study, sensitivity_report, simulate,
-                           t_quantile, variance_ci, wald_ci)
+                           t_quantile)
+from confound_lens.ratio_ci import _variance_ci, _wald_ci
 
 STUDY1 = STUDY_PRESETS["study1"]
 TS = TreatmentSummary(5.0, 99)
-DATA = generate(STUDY1, 40, 1)
+FIT = fit_ols(generate(STUDY1, 40, 1), "a", ["x"])
 
 
 def _spec(**field):
@@ -41,15 +42,15 @@ ARGUMENTS = {
     "sensitivity_report.q": (lambda v: sensitivity_report(TS, q=v), 1.0, [0.0, -1.0]),
     "sensitivity_report.alpha": (lambda v: sensitivity_report(TS, alpha=v), 0.0625,
                                  [0.0, 1.0]),
-    "wald_ci.coef": (lambda v: wald_ci(v, 1.0, 10, 0.95), 1.0, []),
-    "wald_ci.se": (lambda v: wald_ci(1.0, v, 10, 0.95), 1.0, [0.0, -1.0]),
-    "wald_ci.df": (lambda v: wald_ci(1.0, 1.0, v, 0.95), 10, [0]),
-    "wald_ci.level": (lambda v: wald_ci(1.0, 1.0, 10, v), 0.875, [0.0, 1.0]),
-    "variance_ci.residual_variance": (lambda v: variance_ci(v, 10, 0.95), 2.0, [0.0]),
-    "variance_ci.df": (lambda v: variance_ci(2.0, v, 0.95), 10, [0, 2.5]),
-    "variance_ci.level": (lambda v: variance_ci(2.0, 10, v), 0.875, [1.0]),
+    "wald_ci.coef": (lambda v: _wald_ci(v, 1.0, 10, 0.95), 1.0, []),
+    "wald_ci.se": (lambda v: _wald_ci(1.0, v, 10, 0.95), 1.0, [0.0, -1.0]),
+    "wald_ci.df": (lambda v: _wald_ci(1.0, 1.0, v, 0.95), 10, [0]),
+    "wald_ci.level": (lambda v: _wald_ci(1.0, 1.0, 10, v), 0.875, [0.0, 1.0]),
+    "variance_ci.residual_variance": (lambda v: _variance_ci(v, 10, 0.95), 2.0, [0.0]),
+    "variance_ci.df": (lambda v: _variance_ci(2.0, v, 0.95), 10, [0, 2.5]),
+    "variance_ci.level": (lambda v: _variance_ci(2.0, 10, v), 0.875, [1.0]),
     "conservative_ratio_ci.level": (
-        lambda v: conservative_ratio_ci(DATA, "a", "x", level=v), 0.875, [0.0, 1.0]),
+        lambda v: conservative_ratio_ci(FIT, "x", level=v), 0.875, [0.0, 1.0]),
     "ProxyModel.gamma": (lambda v: ProxyModel(gamma=v, var_eps_x=0.25), 1.0, []),
     "ProxyModel.var_eps_x": (lambda v: ProxyModel(gamma=1.0, var_eps_x=v), 0.25, [-0.25]),
     "ProxyModel.cov_a_eps_x": (

@@ -43,6 +43,13 @@ def _floats_in_json(node):
             yield from _floats_in_json(v)
 
 
+def _strict_json(text):
+    """`text` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSensitivitySummaryMode:
     def test_reference_values_print_exactly(self, capsys):
         code, out, err = run_cli(capsys, "sensitivity", "--t", "64.27081",
@@ -341,6 +348,24 @@ class TestDeterminismAndOutput:
                           "--deterministic")
         assert json.loads(json.dumps(report)) == report
         assert report["report_version"] == 1
+
+    @pytest.mark.parametrize("name", list(PARITY_ARGV))
+    def test_json_is_strict(self, capsys, name):
+        code, out, err = run_cli(capsys, *PARITY_ARGV[name], "--format", "json")
+        assert code == 0, err
+        assert _strict_json(out)["strata"]
+
+    def test_non_finite_float_is_null_in_json_and_inf_in_text(self, capsys, tmp_path):
+        path = tmp_path / "exact.csv"
+        path.write_text("x,y\n1,1\n2,2\n3,3\n4,4\n", encoding="utf-8")
+        argv = ("fit", "--input", str(path), "--outcome", "y", "--exposure", "x")
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--deterministic")
+        assert code == 0, err
+        slope = _strict_json(out)["strata"][0]["ols"]["coefficients"][1]
+        assert (slope["term"], slope["std_error"], slope["t_value"]) == ("x", 0.0, None)
+        code, text, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert re.search(r"^  x +1\.00000 +0\.00000 +inf ", text, re.M)
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

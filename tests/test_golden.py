@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confound_lens import (STUDY_PRESETS, Dataset, DgpSpec, conservative_ratio_ci, generate,
-                           population_bias_decomposition, population_ols_bias)
+from confound_lens import (STUDY_PRESETS, Dataset, DgpSpec, conservative_ratio_ci, fit_ols,
+                           generate, population_bias_decomposition, population_ols_bias)
 from confound_lens.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,8 +200,8 @@ def _ratio_point_estimate_lines():
         data = Dataset.from_columns({"a": a * scales[0], "x": x * scales[1],
                                      "z": z * scales[2]})
         controls = ["z"] if i % 3 == 0 else []
-        yield f"{i} " + _bits_or_error(
-            lambda: conservative_ratio_ci(data, "a", "x", controls).point_estimate)
+        yield f"{i} " + _bits_or_error(lambda: conservative_ratio_ci(
+            fit_ols(data, "a", ["x", *controls]), "x").point_estimate)
 
 
 def test_population_bias_and_decomposition_are_pinned():

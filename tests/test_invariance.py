@@ -12,7 +12,8 @@ are the same data.
 The order of the rows changes no verdict, no logit iteration count and no
 slope, SE, VIF or ratio by more than TOL relative.  The order of a CSV's
 columns changes no byte of a `--deterministic` JSON report but the echoed
-input path.
+input path.  Interleaving the strata's rows changes no byte of a stratified
+report, and relabelling the strata only permutes its blocks.
 """
 
 import csv
@@ -25,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_lens import (Dataset, DegenerateExposureError, InsufficientRowsError,
-                           NoVariationError, RankDeficientError, SeparationError, fit_logit,
-                           fit_ols, ratio_point_estimate, vif)
+                           NoVariationError, RankDeficientError, SeparationError,
+                           collinearity_ratio, exposure_stats_from_ols, fit_logit, fit_ols, vif)
 from confound_lens.cli import main
 from confound_lens.logit import _sigmoid
 
@@ -85,7 +86,8 @@ def _fits(covariates, y, y01):
         return np.array(vif(data, names)) if len(names) > 1 else np.array([])
 
     def ratio():
-        return np.array([ratio_point_estimate(data, "y", names[0], names[1:])])
+        return np.array([collinearity_ratio(exposure_stats_from_ols(fit_ols(data, "y", names),
+                                                                    names[0]))])
 
     out = {}
     for name, fn in (("ols", ols), ("logit", logit), ("vif", vifs), ("ratio", ratio)):
@@ -179,13 +181,63 @@ def _report(capsys, command, path):
     return out.replace(echoed, '"input": "<input>",')
 
 
+def _fixture_table() -> list[list[str]]:
+    with open(FIXTURE, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.mark.parametrize("command", REPORTS)
 def test_column_order_changes_no_report(capsys, tmp_path, command):
-    with open(FIXTURE, newline="", encoding="utf-8") as fh:
-        table = list(csv.reader(fh))
+    table = _fixture_table()
     order = np.random.default_rng(3).permutation(len(table[0]))
     assert order.tolist() != sorted(order.tolist())
     permuted = tmp_path / "permuted.csv"
     with open(permuted, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([row[j] for j in order] for row in table)
     assert _report(capsys, command, permuted) == _report(capsys, command, FIXTURE)
+
+
+STRATIFIED = {"ratio-ci": REPORTS["ratio-ci"], "fit": (*REPORTS["fit"], "--stratify", "sex")}
+
+
+def _stratified_report(capsys, command, path, table) -> str:
+    """The command's --deterministic JSON report on `table` written to `path`,
+    one path for every table, since the report echoes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
+    code = main([*STRATIFIED[command], "--input", str(path), "--format", "json",
+                 "--deterministic"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("command", STRATIFIED)
+def test_interleaving_the_strata_changes_no_report(capsys, tmp_path, command):
+    header, *rows = _fixture_table()
+    j = header.index("sex")
+    # a random interleaving of the strata, each stratum's rows in their own order
+    queues = {label: iter([row for row in rows if row[j] == label])
+              for label in {row[j] for row in rows}}
+    labels = np.random.default_rng(5).permutation([row[j] for row in rows])
+    interleaved = [next(queues[label]) for label in labels]
+    assert interleaved != rows
+    path = tmp_path / "strata.csv"
+    assert (_stratified_report(capsys, command, path, [header, *interleaved])
+            == _stratified_report(capsys, command, path, [header, *rows]))
+
+
+@pytest.mark.parametrize("command", STRATIFIED)
+def test_relabelling_the_strata_permutes_the_blocks_and_no_number(capsys, tmp_path, command):
+    header, *rows = _fixture_table()
+    j = header.index("sex")
+    relabel = {"Female": "zz", "Male": "aa"}
+    relabelled = [[*row[:j], relabel[row[j]], *row[j + 1:]] for row in rows]
+    path = tmp_path / "strata.csv"
+    before = json.loads(_stratified_report(capsys, command, path, [header, *rows]))
+    after = json.loads(_stratified_report(capsys, command, path, [header, *relabelled]))
+    assert [block["stratum"] for block in before["strata"]] == ["Female", "Male"]
+    # the blocks come in label order, so the relabelling swaps them
+    permuted = [{**block, "stratum": relabel[block["stratum"]]}
+                for block in reversed(before["strata"])]
+    assert after == {**before, "strata": permuted}  # floats compared exactly

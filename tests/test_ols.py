@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -172,10 +173,20 @@ FIXTURE = Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.cs
 CONTROLS = ["age", "education_grade"]
 
 
+EXPOSURE_UNITS = (1e-6, -3.0, 1e4, -1e-3)
+PROXY_UNITS = (1e-8, -2.0, 1e8, 0.5)
+
+
 def _rescaled(data: Dataset, name: str, scale: float) -> Dataset:
     values = data.values.copy()
     values[:, data.names.index(name)] *= scale
     return Dataset(data.names, values)
+
+
+def _ratio_interval(data: Dataset):
+    """The ratio interval of smoker ~ poverty_index + CONTROLS."""
+    return conservative_ratio_ci(fit_ols(data, "smoker", ["poverty_index", *CONTROLS]),
+                                 "poverty_index")
 
 
 class TestRankCheckIsUnitFree:
@@ -194,11 +205,18 @@ class TestRankCheckIsUnitFree:
 
     @pytest.mark.parametrize("scale", [1e7, 1e8])
     def test_rescaled_proxy_ratio_interval_fits(self, scale):
+        """With the exposure in units of a and the proxy in units of b, the ratio
+        and both interval ends are the original ones over a * b; the ends swap
+        when a * b < 0."""
         data = ingest_csv(FIXTURE)
-        base = conservative_ratio_ci(data, "smoker", "poverty_index", CONTROLS)
-        ci = conservative_ratio_ci(_rescaled(data, "poverty_index", scale), "smoker",
-                                   "poverty_index", CONTROLS)
-        assert ci.point_estimate * scale == pytest.approx(base.point_estimate, rel=1e-12)
+        base = _ratio_interval(data)
+        for a, b in [(1.0, scale), *itertools.product(EXPOSURE_UNITS, PROXY_UNITS)]:
+            ci = _ratio_interval(_rescaled(_rescaled(data, "smoker", a), "poverty_index", b))
+            ends = (ci.lower, ci.upper) if a * b > 0 else (ci.upper, ci.lower)
+            np.testing.assert_allclose(
+                np.array([ci.point_estimate, *ends]) * (a * b),
+                [base.point_estimate, base.lower, base.upper], rtol=1e-9, atol=0.0,
+                err_msg=f"a = {a}, b = {b}")
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_exact_collinearity_is_caught_at_any_scale(self, scale):
