@@ -205,18 +205,23 @@ class TestRankCheckIsUnitFree:
 
     @pytest.mark.parametrize("scale", [1e7, 1e8])
     def test_rescaled_proxy_ratio_interval_fits(self, scale):
+        data = ingest_csv(FIXTURE)
+        base = _ratio_interval(data)
+        ci = _ratio_interval(_rescaled(data, "poverty_index", scale))
+        assert ci.point_estimate * scale == pytest.approx(base.point_estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", itertools.product(EXPOSURE_UNITS, PROXY_UNITS))
+    def test_rescaled_exposure_and_proxy_scale_the_ratio_interval(self, a, b):
         """With the exposure in units of a and the proxy in units of b, the ratio
         and both interval ends are the original ones over a * b; the ends swap
         when a * b < 0."""
         data = ingest_csv(FIXTURE)
         base = _ratio_interval(data)
-        for a, b in [(1.0, scale), *itertools.product(EXPOSURE_UNITS, PROXY_UNITS)]:
-            ci = _ratio_interval(_rescaled(_rescaled(data, "smoker", a), "poverty_index", b))
-            ends = (ci.lower, ci.upper) if a * b > 0 else (ci.upper, ci.lower)
-            np.testing.assert_allclose(
-                np.array([ci.point_estimate, *ends]) * (a * b),
-                [base.point_estimate, base.lower, base.upper], rtol=1e-9, atol=0.0,
-                err_msg=f"a = {a}, b = {b}")
+        ci = _ratio_interval(_rescaled(_rescaled(data, "smoker", a), "poverty_index", b))
+        ends = (ci.lower, ci.upper) if a * b > 0 else (ci.upper, ci.lower)
+        np.testing.assert_allclose(np.array([ci.point_estimate, *ends]) * (a * b),
+                                   [base.point_estimate, base.lower, base.upper],
+                                   rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_exact_collinearity_is_caught_at_any_scale(self, scale):
