@@ -153,16 +153,15 @@ def _r_squared(y: np.ndarray, rss: float) -> float:
 def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> OlsFit:
     """Least-squares fit of `outcome` on an intercept and `regressors`.
 
-    p-values are two-sided from the t distribution with n - p degrees of
-    freedom, p counting the intercept.  r_squared is centered.  With no
-    regressors this is the intercept-only fit.
+    p-values are two-sided, 2 P(T <= -|t|) with n - p degrees of freedom, p
+    counting the intercept: the tail itself, as 1 - P(T <= |t|) would cancel.
+    r_squared is centered.  With no regressors this is the intercept-only fit.
     """
     y = data.column(outcome)  # a missing outcome is named before a missing regressor
     beta, standard_errors, t_values, residuals, rss, shifted = _fit(
         data.matrix(list(regressors)), y)
     df_residual = data.n - len(regressors) - 1
-    residual_variance = float(rss) / df_residual
-    p_values = np.array([2.0 * (1.0 - t_cdf(abs(t), df_residual)) for t in t_values])
+    p_values = np.array([2.0 * t_cdf(-abs(t), df_residual) for t in t_values])
 
     return OlsFit(
         outcome=outcome,
@@ -172,7 +171,7 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         t_values=t_values,
         p_values=p_values,
         r_squared=_r_squared(shifted, float(rss)),
-        residual_variance=residual_variance,
+        residual_variance=float(rss) / df_residual,
         df_residual=df_residual,
         residuals=residuals,
         n=data.n,
@@ -180,19 +179,20 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
 
 
 def vif(data: Dataset, regressors: list[str] | tuple[str, ...]) -> list[float]:
-    """Variance inflation factor 1 / (1 - R^2_j) for each regressor.
-
-    Each auxiliary regression of one regressor on the others includes an
-    intercept, the usual convention.
-    """
+    """Variance inflation factor 1 / (1 - R^2_j) of each regressor j on an
+    intercept and the others, as SS_j [(X'X)^-1]_jj = |R e_j|^2 |e_j' R^-1|^2
+    (Belsley, Kuh & Welsch 1980), R the factor of the centred design bar its
+    intercept.  No 1 - R^2 is formed: relative error < 25 eps sqrt(sum of VIFs)."""
     regressors = list(regressors)
     if len(regressors) < 2:
         raise DomainError("vif needs at least two regressors")
     values = data.matrix(regressors)
-    # refit j: regressor j, row j of values.T, on the others
-    *_, rss, ys = _fit(np.stack([np.delete(values, j, 1) for j in range(len(regressors))]),
-                       values.T)
-    # a collinearity among all k regressors leaves every refit full rank
-    _check_rank(np.linalg.qr(_design(values)[0], mode="r"))
-    slacks = [1.0 - _r_squared(y, float(r)) for y, r in zip(ys, rss)]
-    return [float("inf") if slack <= 0.0 else 1.0 / slack for slack in slacks]
+    n, k = values.shape
+    if n <= k:  # each auxiliary regression has k coefficients
+        raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={k}")
+    R = np.linalg.qr(_design(values)[0], mode="r")
+    _check_rank(R)
+    R = R[1:, 1:]  # R[0, j] is sqrt(n) times column j's mean less its rounded mean
+    r_inv = np.linalg.inv(R)
+    vifs = np.einsum("ij,ij->j", R, R) * np.einsum("ij,ij->i", r_inv, r_inv)
+    return np.maximum(vifs, 1.0).tolist()  # >= 1 by Cauchy-Schwarz, bar rounding

@@ -48,12 +48,11 @@ class TreatmentSummary:
 
     @classmethod
     def from_ols(cls, fit: OlsFit, treatment: str) -> "TreatmentSummary":
-        return cls(
-            t_value=fit.t_value(treatment),
-            df=fit.df_residual,
-            estimate=fit.coefficient(treatment),
-            std_error=fit.std_error(treatment),
-        )
+        if fit.std_error(treatment) == 0.0:
+            raise DomainError(f"treatment {treatment!r} has standard error 0 (an exact "
+                              "fit), so its partial R^2 and robustness values are undefined")
+        return cls(t_value=fit.t_value(treatment), df=fit.df_residual,
+                   estimate=fit.coefficient(treatment), std_error=fit.std_error(treatment))
 
 
 @dataclass(frozen=True)

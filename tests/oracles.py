@@ -6,12 +6,17 @@ densities, quantiles are bisections on those integrals, least squares is
 solved by raw normal equations, the logistic oracle runs Newton steps
 with finite-difference derivatives of the explicit log-likelihood, and the
 CSV reference reads and writes row by row, one cell at a time (the package's
-former ingest, without its later BOM and row-number fixes).  The VIF
-reference is the package's former `vif` on the design as `fit_ols` now builds
-it: a row count check, an SVD rank check of the centred design with its
-columns scaled to unit norm, then one complete least-squares refit per
-regressor, of the regressor less its first value on the others less their
-means.  The normal sampler reference is the package's former
+former ingest, without its later BOM and row-number fixes).  VIFs have two
+references.  `vif_exact` computes S_jj [S^-1]_jj from the centred
+cross-products S of the floats in exact rational arithmetic (`fractions`,
+rounded once at the end); the package's VIFs are held to a relative bound
+against it.  `vif_nested` is the package's former `vif` on the design as
+`fit_ols` builds it: a row count check, an SVD rank check of the centred
+design with its columns scaled to unit norm, then one complete least-squares
+refit per regressor, of the regressor less its first value on the others less
+their means.  Its rows/rank verdict is the one the package must give; its
+values, 1 / (1 - R^2) by subtraction, lose about VIF * eps relative and are
+not compared.  The normal sampler reference is the package's former
 masked-selection kernel, kept verbatim.
 """
 
@@ -22,6 +27,7 @@ import io
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -328,6 +334,59 @@ def vif_nested(values: np.ndarray) -> list[float]:
         slack = 1.0 - r2
         out.append(float("inf") if slack <= 0.0 else 1.0 / slack)
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact VIF reference
+# ---------------------------------------------------------------------------
+
+def _integer_column(column: list[float]) -> list[int]:
+    """The floats of `column` times the largest of their denominators, which
+    are powers of two: integers, exactly."""
+    ratios = [x.as_integer_ratio() for x in column]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
+
+
+def _determinant(matrix: list[list[int]]) -> Fraction:
+    """Gaussian elimination in exact rational arithmetic."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def vif_exact(values) -> list[float]:
+    """VIF of each column of the (n, k) array `values`, k >= 2, in exact
+    arithmetic on its floats as they are, rounded once at the end: with S the
+    centred cross-product matrix, VIF_j = S_jj [S^-1]_jj
+    = S_jj det(S less row and column j) / det(S); inf where det(S) = 0.
+
+    Scaling column j by c > 0 scales row and column j of S by c and leaves
+    every VIF as it was, so each column is first scaled to integers a, and
+    n^2 S = n sum(a_i a_j) - sum(a_i) sum(a_j) is a matrix of integers."""
+    rows = [[float(v) for v in row] for row in values]
+    n, k = len(rows), len(rows[0])
+    cols = [_integer_column([row[j] for row in rows]) for j in range(k)]
+    sums = [sum(col) for col in cols]
+    S = [[n * sum(a * b for a, b in zip(cols[i], cols[j])) - sums[i] * sums[j]
+          for j in range(k)] for i in range(k)]
+    det = _determinant(S)
+    if det == 0:
+        return [math.inf] * k
+    return [float(S[j][j] * _determinant([[S[r][c] for c in range(k) if c != j]
+                                          for r in range(k) if r != j]) / det)
+            for j in range(k)]
 
 
 # ---------------------------------------------------------------------------

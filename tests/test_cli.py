@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_lens import (Dataset, cli, collinearity_ratio, exposure_stats_from_ols,
-                           fit_ols, logit, robustness_value, TreatmentSummary)
+                           fit_ols, ingest_csv, logit, robustness_value, TreatmentSummary)
 from confound_lens.cli import main
 from confound_lens.ingest import dataset_to_csv
+
+import oracles
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv")
 
@@ -214,6 +216,26 @@ class TestCovariateOrigin:
                                    _slopes_and_ses(base, model), rtol=1e-9, atol=0.0)
 
 
+# 12 rows of t = 1e9 + i and t^2, as the floats they read as: exact VIF
+# 3.98e16 (oracles.vif_exact), where 1 - R^2 by subtraction gave inf (null).
+T_SQUARED_CSV = "t,t2,y\n" + "".join(
+    f"{10 ** 9 + i},{(10 ** 9 + i) ** 2},{y}\n"
+    for i, y in zip(range(1, 13), (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8)))
+
+
+class TestVifReport:
+    def test_t_and_t_squared_vifs_are_finite(self, capsys, tmp_path):
+        path = tmp_path / "t2.csv"
+        path.write_text(T_SQUARED_CSV, encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--outcome", "y",
+                                 "--controls", "t,t2", "--format", "json", "--deterministic")
+        assert code == 0, err
+        got = _strict_json(out)["strata"][0]["ols"]["vif"]
+        exact = oracles.vif_exact(ingest_csv(path).matrix(["t", "t2"]))
+        assert exact == pytest.approx([3.9833e16] * 2, rel=1e-4)
+        assert [got["t"], got["t2"]] == pytest.approx(exact, rel=1e-6)
+
+
 PARITY_ARGV = {
     "fit": ("fit", "--input", FIXTURE, "--outcome", "smoker",
             "--exposure", "poverty_index", "--controls", "age"),
@@ -406,6 +428,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "fit", "--input", str(path),
                              "--outcome", "y", "--controls", "x1,x2")
         assert code == 3
+
+    def test_exactly_fitted_treatment_exit_3_from_sensitivity(self, capsys, tmp_path):
+        path = tmp_path / "exact.csv"
+        path.write_text("x,y\n1,1\n2,2\n3,3\n4,4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sensitivity", "--input", str(path),
+                                 "--outcome", "y", "--exposure", "x")
+        assert (code, out, err) == (
+            3, "", "error: treatment 'x' has standard error 0 (an exact fit), so its "
+                   "partial R^2 and robustness values are undefined\n")
 
     def test_degenerate_exposure_exit_3_from_ratio_ci_and_bias_grid(self, capsys, tmp_path):
         rng = np.random.default_rng(5)

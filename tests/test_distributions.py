@@ -230,6 +230,35 @@ class TestChiSquare:
             for df in (10 ** 5, 10 ** 6):
                 assert abs(chisq_cdf(chisq_quantile(p, df), df) - p) <= 1e-8
 
+    # Quantiles at the df that survey strata and mc-large reach, by 40-digit
+    # mpmath quadrature of the density (agreeing with mpmath's gammainc to
+    # every digit at df = 1e6, where gammainc's series still converges):
+    #     mp.dps = 40
+    #     def cdf(x, df):
+    #         a, y = mpf(df) / 2, mpf(x) / 2
+    #         sd, mode = sqrt(a), a - 1
+    #         dens = lambda t: exp((a - 1) * log(t) - t - loggamma(a))
+    #         if y <= mode:
+    #             return quad(dens, linspace(mode - 60 * sd, y, 121))
+    #         return 1 - quad(dens, linspace(y, mode + 60 * sd, 121))
+    #     z, h = sqrt(2) * erfinv(2 * mpf(p) - 1), mpf(2) / (9 * df)
+    #     findroot(lambda x: cdf(x, df) - mpf(p), df * (1 - h + z * sqrt(h)) ** 3,
+    #              tol=mpf(10) ** -28)
+    # scipy 1.17's chi2.ppf(1e-6, 1e7) is 7.4e-7 below the first 1e7 value:
+    # the true CDF there is 1.00817e-6.
+    @pytest.mark.parametrize("df, p, expected", [
+        (10 ** 6, 1e-6, 993292.0337373913),
+        (10 ** 6, 0.025, 997230.0871432901),
+        (10 ** 6, 0.5, 999999.3333334123),
+        (10 ** 6, 0.975, 1002773.701467926),
+        (10 ** 7, 1e-6, 9978756.435091652),
+        (10 ** 7, 0.025, 9991236.669053895),
+        (10 ** 7, 0.5, 9999999.333333341),
+        (10 ** 7, 0.975, 10008767.119557811),
+    ])
+    def test_quantile_at_large_df_matches_mpmath(self, df, p, expected):
+        assert chisq_quantile(p, df) == pytest.approx(expected, rel=1e-8)
+
 
 class TestCriticalValueCache:
     """t and chi-square quantiles are memoised on the validated (p, df)."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confound_lens import (STUDY_PRESETS, SensitivityReport, TreatmentSummary,
+from confound_lens import (STUDY_PRESETS, Dataset, SensitivityReport, TreatmentSummary,
                            fit_ols, generate, partial_r2, robustness_value,
                            robustness_value_alpha, sensitivity_report)
 from confound_lens.errors import DomainError
@@ -117,6 +117,15 @@ class TestTreatmentSummary:
                                   estimate=fit.coefficient("a"),
                                   std_error=fit.std_error("a"))
         assert sensitivity_report(ts) == sensitivity_report(direct)
+
+    @pytest.mark.parametrize("y", [[3.0, 5.0, 7.0, 9.0], [2.0, 2.0, 2.0, 2.0]],
+                             ids=["t-inf", "t-0"])
+    def test_from_ols_rejects_an_exactly_fitted_treatment(self, y):
+        fit = fit_ols(Dataset.from_columns({"y": y, "x": [1.0, 2.0, 3.0, 4.0]}), "y", ["x"])
+        assert fit.std_error("x") == 0.0
+        with pytest.raises(DomainError, match="treatment 'x' has standard error 0 "
+                                              r"\(an exact fit\)"):
+            TreatmentSummary.from_ols(fit, "x")
 
     def test_alpha_rv_needs_df_at_least_two(self):
         ts = TreatmentSummary(t_value=5.0, df=1)
