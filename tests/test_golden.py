@@ -32,12 +32,12 @@ GENERATE_BLOCKS_DIGEST = "f72297f5d82ab5232a15fa698e6674a8226c96c63961f7287eda32
 
 CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
-    "fit": "a4da1274f361b29284e7eabd145da90ebfe2fc207b48764bebe6cfece657fbf1",
+    "fit": "ea23366c196816d9a02d9a522c2e8208e2a130d436ff304c757a9e445280002a",
     "logit-stratified": "1ee1d0bfbf64f8b22e59c0d81fa073a4e86eb782119ba92e5831174037fe22be",
     "ratio-ci-stratified": "1edd2daa90e53bceb9cfbf9b999ba24027d260debb4716856c7bd39b1dfa3a80",
     "simulate-replicates": "95451bc05a47f43d54818be80815016693392a5dc4c30769774823fcba3e0802",
-    "fit-stratified-vif": "946019d9d0fa295022e3285718e8506ce9f11cfbc312d2950d6ed8093ae623db",
-    "sensitivity": "944cb45e170626dfd416b616de79de274b1f23be9460e06163d049287ad89d43",
+    "fit-stratified-vif": "443cd37409e6c79e8e8bbe4ec0180e9ed019d728e4caad385c14fbe8f6793085",
+    "sensitivity": "f4ee40d80ba09710aa219cf75322af8ed805c37671b27d63fc367694011c9242",
     "fit-stratified-text": "8161a2e614180bc45252cf8f98417694257e7732bd26cdecedd9487d9148959a",
     "logit-stratified-text": "89ea9c41b2ee5257a1663ec3a46a339fe360ffdb5d0dff6f6e932bdb8e99c773",
     "sensitivity-text": "14a166fe27e4695005cb4031d80c3cb1352931fea44fe08f9f490a38a1a171fd",
