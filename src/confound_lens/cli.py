@@ -143,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_FINITE, help="treatment t-value (summary mode)")
     p.add_argument("--df", type=_COUNT, help="residual df (summary mode)")
     p.add_argument("--estimate", type=_FINITE)
-    p.add_argument("--se", type=_flag(checks.at_least, low=0.0))
+    p.add_argument("--se", type=_POSITIVE)
     p.add_argument("--q", type=_POSITIVE, default=1.0)
     p.add_argument("--alpha", type=_PROBABILITY, default=0.05)
     p.set_defaults(handler=_handle_sensitivity)

@@ -2,12 +2,11 @@
 
 Self-contained (no external math library): the normal CDF uses Cody's
 rational approximations for erfc, the normal quantile uses Acklam's rational
-approximation refined by one Newton step on the CDF, and the t / chi-square
-families are built on the regularized incomplete beta and gamma functions
-(Lentz continued fractions with a series fallback).  For very large gamma
-shape parameters, where the classic expansions need more than the iteration
-budget, the regularized incomplete gamma switches to Gauss-Legendre
-quadrature of the density, which is accurate to ~1e-11 there.
+approximation refined by one Newton step on the CDF, and the t family is
+built on the regularized incomplete beta (a Lentz continued fraction).  The
+chi-square CDF, at every df, is one Gauss-Legendre quadrature of the gamma
+density over s = log(t / a): the mass below log(x / a) over the whole mass,
+so no lgamma and no normalising constant enters it.
 
 The bulk normal quantile (and the erfc inside its Newton step) runs over
 fixed blocks of 16384 elements of the flattened input, with work rows
@@ -51,10 +50,6 @@ _FPMIN = 1e-300
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_PI = 0.5641895835477563
 _NORM_PDF_C = 0.3989422804014327  # 1/sqrt(2*pi)
-
-# Gamma shape above which series/continued-fraction iteration counts would
-# exceed _MAX_ITER near x ~ a; quadrature takes over there.
-_GAMMA_QUAD_SHAPE = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,98 +312,52 @@ def _betainc_reg(a: float, b: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma (series / continued fraction / quadrature)
+# Regularized incomplete gamma (Gauss-Legendre quadrature in log space)
 # ---------------------------------------------------------------------------
 
-def _gamma_series(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _CONV_TOL:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ConvergenceError(
-        f"incomplete gamma series did not converge in {_MAX_ITER} iterations "
-        f"(a={a}, x={x})"
-    )
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _gamma_cf(a: float, x: float) -> float:
-    """Continued fraction for the upper tail Q(a, x), valid for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CONV_TOL:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction did not converge in {_MAX_ITER} "
-        f"iterations (a={a}, x={x})"
-    )
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gammainc_quad(a: float, x: float) -> float:
-    """P(a, x) for large a by integrating the density over a 45-sd window.
-
-    The density exponent is expanded around the mode (t = a - 1) so that the
-    a * ulp(log t) rounding loss of the direct form cannot accumulate.
-    """
-    mode = a - 1.0
-    sd = math.sqrt(a)
-    lo_cut = max(0.0, mode - 45.0 * sd)
-    hi_cut = mode + 45.0 * sd
-    log_peak = mode * math.log(mode) - mode - math.lgamma(a)
-
-    def integral(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        nseg = max(2, int(math.ceil((hi - lo) / (2.0 * sd))))
-        edges = np.linspace(lo, hi, nseg + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        t = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
-        u = t / mode - 1.0
-        with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-            logf = log_peak + mode * (np.log1p(u) - u)
-            f = np.where(t > 0.0, np.exp(logf), 0.0)
-        return float(np.sum(halfs[:, None] * (_GL_WEIGHTS[None, :] * f)))
-
-    if x <= lo_cut:
+def _log_gamma_mass(a: float, lo: float, hi: float) -> float:
+    """Integral of exp(-a (expm1(s) - s)) over [lo, hi], on 1/sqrt(a)-wide segments."""
+    if not hi > lo:
         return 0.0
-    if x >= hi_cut:
-        return 1.0
-    if x <= mode:
-        return integral(lo_cut, x)
-    return 1.0 - integral(x, hi_cut)
+    nseg = max(1, math.ceil((hi - lo) * math.sqrt(a)))
+    half = 0.5 * (hi - lo) / nseg
+    mids = lo + half * (2.0 * np.arange(nseg) + 1.0)
+    s = mids[:, None] + half * _GL_NODES
+    return half * float(np.sum(np.exp(-a * (np.expm1(s) - s)) @ _GL_WEIGHTS))
+
+
+def _gamma_masses(a: float, s: float) -> tuple[float, float]:
+    """Masses of exp(-a g(u)), g(u) = expm1(u) - u >= 0, below and above u = s.
+
+    With t = a e^u this is the Gamma(a) density of u up to a constant: peaked
+    at u = 0, with sd about 1/sqrt(a).  The cuts: g(u) >= u^2 / 2 for u > 0,
+    so the density at hi = 45 sd is below e^-1000.  g(u) >= u^2 / 3 on
+    [-1, 0], so it is below e^-760 at lo = -48 sd when that is >= -1.
+    Otherwise lo = -(1 + 64 / a): below -1, g falls with slope
+    1 - e^u >= 1 - 1/e, so a g gains at least 40 over the last 64 / a, and the
+    density at lo is below e^-40 of its value anywhere on [-1, 0].  For the
+    same reason the lower integral starts 64 / a below s when that is lower
+    still, which keeps deep lower tails accurate to their own size.  Each
+    integral spans at most 137 sd-wide segments (at a = 1/2), at any (a, s).
+    """
+    sd = 1.0 / math.sqrt(a)
+    hi = 45.0 * sd
+    deep = 64.0 / a
+    lo = -48.0 * sd if 48.0 * sd <= 1.0 else -(1.0 + deep)
+    return (_log_gamma_mass(a, min(lo, s - deep), min(s, hi)),
+            _log_gamma_mass(a, max(lo, s), hi))
 
 
 def _gammainc_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if x <= 0.0:
-        return 0.0
-    if a > _GAMMA_QUAD_SHAPE:
-        return _gammainc_quad(a, x)
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
+    """Regularized lower incomplete gamma P(a, x), a > 0: mass below log(x / a) / whole."""
+    ratio = x / a
+    if not ratio > 0.0:
+        return 0.0  # x <= 0, or x / a underflows, which it does only where P does
+    below, above = _gamma_masses(a, math.log(ratio))
+    return below / (below + above)
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +410,19 @@ def chisq_cdf(x: float, df) -> float:
     """P(X <= x) for a chi-square variable with df degrees of freedom."""
     df = checks.integer(df, "degrees of freedom", 1)
     x = checks.real(x, "x")
-    if x <= 0.0:
-        return 0.0
     if x == math.inf:
         return 1.0
     return _gammainc_lower_reg(0.5 * df, 0.5 * x)
 
 
-def _chisq_pdf(x: float, df: int) -> float:
-    if x <= 0.0:
+def _chisq_pdf(x: float, df: int, mass: float) -> float:
+    # chisq_cdf's own derivative, the quadrature's integrand at s = log(x / df)
+    # over x times its whole mass, so Newton's step needs no lgamma either.
+    ratio = x / df
+    if not ratio > 0.0:
         return 0.0
-    a = 0.5 * df
-    return 0.5 * math.exp((a - 1.0) * math.log(0.5 * x) - 0.5 * x - math.lgamma(a))
+    s = math.log(ratio)
+    return math.exp(-0.5 * df * (math.expm1(s) - s)) / (x * mass)
 
 
 def chisq_quantile(p, df) -> float:
@@ -484,12 +434,15 @@ def chisq_quantile(p, df) -> float:
 @functools.lru_cache(maxsize=1024)
 def _chisq_quantile(pv: float, df: int) -> float:
     z = normal_quantile(pv)
-    # Wilson-Hilferty start, clamped positive
+    a = 0.5 * df
+    mass = sum(_gamma_masses(a, 0.0))
+    # Wilson-Hilferty start; where its cube is not positive, p is deep in the
+    # power-law tail P ~ e^(a (s + 1)) / (a mass), s = log(x / df)
     h = 2.0 / (9.0 * df)
     start = df * (1.0 - h + z * math.sqrt(h)) ** 3
     if not start > 0.0:
-        start = min(1e-8, 0.5 * df)
-    return _invert_monotone(lambda x: chisq_cdf(x, df), lambda x: _chisq_pdf(x, df),
+        start = df * math.exp(math.log(pv * a * mass) / a - 1.0)
+    return _invert_monotone(lambda x: chisq_cdf(x, df), lambda x: _chisq_pdf(x, df, mass),
                             pv, start, scale=max(start, 1.0), lo_bound=0.0)
 
 

@@ -37,8 +37,8 @@ class TreatmentSummary:
             object.__setattr__(self, "estimate", checks.finite(self.estimate, "estimate"))
         if self.std_error is not None:
             object.__setattr__(self, "std_error",
-                               checks.at_least(self.std_error, "std_error", 0.0))
-            if self.std_error > 0.0 and self.estimate is not None:
+                               checks.at_least(self.std_error, "std_error", 0.0, strict=True))
+            if self.estimate is not None:
                 implied = self.estimate / self.std_error
                 if abs(implied - self.t_value) > 1e-8 * max(1.0, abs(self.t_value)):
                     raise DomainError(

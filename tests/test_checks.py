@@ -38,7 +38,7 @@ ARGUMENTS = {
     "TreatmentSummary.estimate": (
         lambda v: TreatmentSummary(2.0, 10, estimate=v, std_error=0.5), 1.0, []),
     "TreatmentSummary.std_error": (
-        lambda v: TreatmentSummary(2.0, 10, std_error=v), 0.5, [-1.0]),
+        lambda v: TreatmentSummary(2.0, 10, std_error=v), 0.5, [0.0, -1.0]),
     "sensitivity_report.q": (lambda v: sensitivity_report(TS, q=v), 1.0, [0.0, -1.0]),
     "sensitivity_report.alpha": (lambda v: sensitivity_report(TS, alpha=v), 0.0625,
                                  [0.0, 1.0]),

@@ -484,6 +484,7 @@ class TestExitCodes:
         ("--estimate", ("sensitivity", "--t", "5", "--df", "99", "--estimate", "nan",
                         "--se", "1", "--format", "json")),
         ("--se", ("sensitivity", "--t", "5", "--df", "99", "--estimate", "1", "--se", "inf")),
+        ("--se", ("sensitivity", "--t", "5", "--df", "99", "--estimate", "1", "--se", "0")),
         ("--gamma-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
                           "--proxy", "x", "--gamma-grid", "nan")),
         ("--eps-grid", ("bias-grid", "--input", "/does/not/exist.csv", "--exposure", "a",
@@ -491,7 +492,8 @@ class TestExitCodes:
         ("--seed", ("simulate", "--preset", "study1", "--n", "5",
                     "--seed", "18446744073709551616")),
     ], ids=["q-nan", "q-inf", "simulate-csv-alpha", "n", "seed", "replicates", "level",
-            "eps-grid", "t-nan", "t-inf", "df-0", "estimate-nan", "se-inf", "gamma-grid-nan",
+            "eps-grid", "t-nan", "t-inf", "df-0", "estimate-nan", "se-inf", "se-0",
+            "gamma-grid-nan",
             "eps-grid-inf", "seed-2^64"])
     def test_bad_flag_value_is_usage_error(self, capsys, flag, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -220,6 +220,14 @@ class TestChiSquare:
         assert all(a > b for a, b in zip(qs, qs[1:]))
         assert qs[-1] < 1e-4
 
+    @pytest.mark.parametrize("df", [2, 3, 10, 27, 100])
+    def test_quantile_round_trips_in_deep_lower_tails(self, df):
+        # Below the Wilson-Hilferty start's reach, the start comes from the
+        # power-law tail; from a fixed small start the solver stalled.
+        for p in (1e-15, 1e-100, 1e-200, 1e-300):
+            q = chisq_quantile(p, df)
+            assert chisq_cdf(q, df) == pytest.approx(p, rel=1e-8, abs=0.0)
+
     def test_cdf_at_zero(self):
         assert chisq_cdf(0.0, 5) == 0.0
         assert chisq_cdf(-1.0, 5) == 0.0
@@ -258,6 +266,95 @@ class TestChiSquare:
     ])
     def test_quantile_at_large_df_matches_mpmath(self, df, p, expected):
         assert chisq_quantile(p, df) == pytest.approx(expected, rel=1e-8)
+
+    # P(X <= x) by 40-digit mpmath on the smaller tail (CI installs no mpmath):
+    #     mp.dps = 40
+    #     lower = gammainc(mpf(df) / 2, 0, mpf(x) / 2, regularized=True)
+    #     upper = gammainc(mpf(df) / 2, mpf(x) / 2, inf, regularized=True)
+    # x is chisq_quantile(p, df) at p = 0.025, 0.5, 0.975 and 0.999, and the
+    # findroot of log(lower) = log(p) at p = 1e-10, 1e-100 and 1e-300, each
+    # rounded to 6 digits.  At df = 1, where P(5e-324) is already 1.8e-162,
+    # x = 1e-300 stands in for p = 1e-300.  df = 397 is where the ratio-ci
+    # fixture's strata sit; 1399 and 1401 straddle a = 700.
+    CHISQ_CDF_MPMATH = [
+        (1, 1e-300, 'lower', 7.9788456080286537e-151),
+        (1, 1.5708e-200, 'lower', 1.0000011692168149e-100),
+        (1, 1.5708e-20, 'lower', 1.0000011692168149e-10),
+        (1, 0.000982069, 'lower', 0.024999998509054704),
+        (1, 0.454936, 'lower', 0.49999980065296306),
+        (1, 5.02389, 'upper', 0.024999944957571447),
+        (1, 10.8276, 'upper', 0.00099998172918164173),
+        (2, 2e-300, 'lower', 1.0e-300),
+        (2, 2e-100, 'lower', 1.0e-100),
+        (2, 2e-10, 'lower', 9.9999999995000004e-11),
+        (2, 0.0506356, 'lower', 0.024999992215317342),
+        (2, 1.38629, 'lower', 0.49999890971883864),
+        (2, 7.37776, 'upper', 0.024999986352852128),
+        (2, 13.8155, 'upper', 0.0010000052789960708),
+        (27, 7.02218e-22, 'lower', 9.9999760013056285e-301),
+        (27, 4.58445e-07, 'lower', 1.0000119376795431e-100),
+        (27, 2.30333, 'lower', 1.0000247923558075e-10),
+        (27, 14.5734, 'lower', 0.025000209010977057),
+        (27, 26.3363, 'lower', 0.49999783464956867),
+        (27, 43.1945, 'upper', 0.025000064018332735),
+        (27, 55.476, 'upper', 0.0010000057981423117),
+        (397, 4.63452, 'lower', 1.0000737272698222e-300),
+        (397, 53.2693, 'lower', 9.9993372431599369e-101),
+        (397, 243.155, 'lower', 1.0001471135886188e-10),
+        (397, 343.69, 'lower', 0.024999706540732959),
+        (397, 396.334, 'upper', 0.49999337783914579),
+        (397, 454.097, 'upper', 0.025000205908424983),
+        (397, 489.803, 'upper', 0.0010000479837775671),
+        (1399, 226.739, 'lower', 9.9876007738185157e-301),
+        (1399, 552.581, 'lower', 1.0001285890682466e-100),
+        (1399, 1088.35, 'lower', 9.9928300218334698e-11),
+        (1399, 1297.23, 'lower', 0.024996964865408535),
+        (1399, 1398.33, 'lower', 0.49997442671129828),
+        (1399, 1504.56, 'upper', 0.024995379201515869),
+        (1399, 1568.18, 'upper', 0.00099978947349038451),
+        (1401, 227.444, 'lower', 1.000128369754447e-300),
+        (1401, 553.794, 'lower', 9.9980536931946172e-101),
+        (1401, 1090.11, 'lower', 9.9929667407102903e-11),
+        (1401, 1299.16, 'lower', 0.025001714914364996),
+        (1401, 1400.33, 'lower', 0.49997444559003083),
+        (1401, 1506.63, 'upper', 0.02499968384846551),
+        (1401, 1570.29, 'upper', 0.0010001899906726242),
+        (24997, 17601.6, 'lower', 1.0082051014370002e-300),
+        (24997, 20536.6, 'lower', 9.9969800788784985e-101),
+        (24997, 23600.9, 'lower', 1.0014971878921575e-10),
+        (24997, 24560.7, 'lower', 0.02500994671889925),
+        (24997, 24996.3, 'lower', 0.49994051903606804),
+        (24997, 25437.1, 'upper', 0.025006768072178805),
+        (24997, 25693.7, 'upper', 0.00099939441010085457),
+        (100000, 84333.5, 'lower', 9.9917616361265847e-301),
+        (100000, 90784.9, 'lower', 1.0011925195356322e-100),
+        (100000, 97181.4, 'lower', 1.0002995615397865e-10),
+        (100000, 99125.4, 'lower', 0.025003509968891571),
+        (100000, 99999.3, 'lower', 0.49997026377430482),
+        (100000, 100878.0, 'upper', 0.025054008583201869),
+        (100000, 101388.0, 'upper', 0.00099773097407605678),
+    ]
+
+    @pytest.mark.parametrize("df, x, side, tail", CHISQ_CDF_MPMATH)
+    def test_cdf_matches_mpmath_on_the_smaller_tail(self, df, x, side, tail):
+        lower = chisq_cdf(x, df)
+        smaller = lower if side == "lower" else 1.0 - lower
+        assert smaller == pytest.approx(tail, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [10 ** 8, 10 ** 12, 10 ** 16, 10 ** 18, 2 ** 62, 10 ** 300])
+    @pytest.mark.parametrize("p", [0.025, 0.975])
+    def test_quantile_at_huge_df_matches_cornish_fisher(self, p, df):
+        # The next Cornish-Fisher term is O(1 / sqrt(df)).
+        z = normal_quantile(p)
+        expected = df + z * math.sqrt(2 * df) + 2 * (z * z - 1) / 3
+        assert chisq_quantile(p, df) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("df", [1, 2 ** 62, 10 ** 300])
+    def test_cdf_is_a_probability_at_any_x(self, df):
+        # The quadrature's node count is bounded by construction, at any (df, x).
+        for x in (1e-300, df / 1e5, df, 1e5 * df, 1e300):
+            value = chisq_cdf(x, df)
+            assert type(value) is float and 0.0 <= value <= 1.0
 
 
 class TestCriticalValueCache:
