@@ -34,7 +34,7 @@ CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
     "fit": "ea23366c196816d9a02d9a522c2e8208e2a130d436ff304c757a9e445280002a",
     "logit-stratified": "1ee1d0bfbf64f8b22e59c0d81fa073a4e86eb782119ba92e5831174037fe22be",
-    "ratio-ci-stratified": "1edd2daa90e53bceb9cfbf9b999ba24027d260debb4716856c7bd39b1dfa3a80",
+    "ratio-ci-stratified": "4bf449b96f6a0ae374147e23df00136588bceb91f1e84543db15789b8beb647a",
     "simulate-replicates": "95451bc05a47f43d54818be80815016693392a5dc4c30769774823fcba3e0802",
     "fit-stratified-vif": "443cd37409e6c79e8e8bbe4ec0180e9ed019d728e4caad385c14fbe8f6793085",
     "sensitivity": "f4ee40d80ba09710aa219cf75322af8ed805c37671b27d63fc367694011c9242",
