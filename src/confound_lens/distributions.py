@@ -1,12 +1,16 @@
 """Normal, Student-t and chi-square distribution functions.
 
 Self-contained (no external math library): the normal CDF uses Cody's
-rational approximations for erfc, the normal quantile uses Acklam's rational
-approximation refined by one Newton step on the CDF, and the t family is
-built on the regularized incomplete beta (a Lentz continued fraction).  The
-chi-square CDF, at every df, is one Gauss-Legendre quadrature of the gamma
-density over s = log(t / a): the mass below log(x / a) over the whole mass,
-so no lgamma and no normalising constant enters it.
+rational approximations for erfc, and the normal quantile uses Acklam's
+rational approximation refined by one Newton step on the CDF.
+
+The chi-square and t families share one Gauss-Legendre quadrature over
+u = log(W / df), W chi-square on df degrees of freedom, whose density is
+exp(-a (expm1(u) - u)) up to a constant, a = df / 2.  The chi-square CDF at
+x is the mass below log(x / df) over the whole mass; the t CDF is a normal
+mixture, T = Z / sqrt(W / df), so P(T <= -x) is the mean of Phi(-x e^(u/2))
+under it.  No gamma function or normalising constant enters.  Both quantiles
+come from one safeguarded Newton iteration on the CDF's own derivative.
 
 The bulk normal quantile (and the erfc inside its Newton step) runs over
 fixed blocks of 16384 elements of the flattened input, with work rows
@@ -28,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 
 import numpy as np
 
 from . import checks
-from .errors import ConvergenceError
 
 __all__ = [
     "normal_cdf",
@@ -44,9 +48,6 @@ __all__ = [
     "chisq_quantile",
 ]
 
-_MAX_ITER = 500
-_CONV_TOL = 1e-14
-_FPMIN = 1e-300
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_PI = 0.5641895835477563
 _NORM_PDF_C = 0.3989422804014327  # 1/sqrt(2*pi)
@@ -254,130 +255,96 @@ def normal_quantile(p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete beta (continued fraction)
-# ---------------------------------------------------------------------------
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Lentz continued fraction for the incomplete beta."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CONV_TOL:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge in {_MAX_ITER} "
-        f"iterations (a={a}, b={b}, x={x})"
-    )
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-# ---------------------------------------------------------------------------
-# Regularized incomplete gamma (Gauss-Legendre quadrature in log space)
+# One quadrature for both families: the gamma density of u = log(W / df)
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# expm1(u) - u = u^2 (1/2! + u/3! + ... + u^7/9!), Horner order
+_G_SERIES = tuple(1.0 / math.factorial(k) for k in range(9, 1, -1))
 
 
-def _log_gamma_mass(a: float, lo: float, hi: float) -> float:
-    """Integral of exp(-a (expm1(s) - s)) over [lo, hi], on 1/sqrt(a)-wide segments."""
-    if not hi > lo:
-        return 0.0
-    nseg = max(1, math.ceil((hi - lo) * math.sqrt(a)))
-    half = 0.5 * (hi - lo) / nseg
-    mids = lo + half * (2.0 * np.arange(nseg) + 1.0)
-    s = mids[:, None] + half * _GL_NODES
-    return half * float(np.sum(np.exp(-a * (np.expm1(s) - s)) @ _GL_WEIGHTS))
+def _g(u: np.ndarray) -> np.ndarray:
+    """expm1(u) - u >= 0, by its Taylor series where |u| < 0.05.
+
+    The difference cancels there: a = df / 2 would multiply its rounding
+    error, about 1e-16 |u|, at u ~ 1 / sqrt(a).  The series' first omitted
+    term is below 3e-17 of its sum.
+    """
+    series = _horner(u, _G_SERIES) * (u * u)
+    return np.where(np.abs(u) < 0.05, series, np.expm1(u) - u)
 
 
-def _gamma_masses(a: float, s: float) -> tuple[float, float]:
-    """Masses of exp(-a g(u)), g(u) = expm1(u) - u >= 0, below and above u = s.
+def _window(a: float) -> tuple[float, float]:
+    """Where the mass of exp(-a g(u)), g(u) = expm1(u) - u, lies.
 
-    With t = a e^u this is the Gamma(a) density of u up to a constant: peaked
-    at u = 0, with sd about 1/sqrt(a).  The cuts: g(u) >= u^2 / 2 for u > 0,
-    so the density at hi = 45 sd is below e^-1000.  g(u) >= u^2 / 3 on
-    [-1, 0], so it is below e^-760 at lo = -48 sd when that is >= -1.
-    Otherwise lo = -(1 + 64 / a): below -1, g falls with slope
-    1 - e^u >= 1 - 1/e, so a g gains at least 40 over the last 64 / a, and the
-    density at lo is below e^-40 of its value anywhere on [-1, 0].  For the
-    same reason the lower integral starts 64 / a below s when that is lower
-    still, which keeps deep lower tails accurate to their own size.  Each
-    integral spans at most 137 sd-wide segments (at a = 1/2), at any (a, s).
+    With W = 2a e^u chi-square on 2a df this is the density of u up to a
+    constant: peaked at u = 0, with sd about 1/sqrt(a).  The cuts: g(u) >=
+    u^2 / 2 for u > 0, so the density at hi = 45 sd is below e^-1000.
+    g(u) >= u^2 / 3 on [-1, 0], so it is below e^-760 at lo = -48 sd when
+    that is >= -1.  Otherwise lo = -(1 + 64 / a): below -1, g falls with
+    slope 1 - e^u >= 1 - 1/e, so a g gains at least 40 over the last 64 / a,
+    and the density at lo is below e^-40 of its value anywhere on [-1, 0].
+    The window spans at most 137 sd-wide segments (at a = 1/2).
     """
     sd = 1.0 / math.sqrt(a)
-    hi = 45.0 * sd
-    deep = 64.0 / a
-    lo = -48.0 * sd if 48.0 * sd <= 1.0 else -(1.0 + deep)
-    return (_log_gamma_mass(a, min(lo, s - deep), min(s, hi)),
-            _log_gamma_mass(a, max(lo, s), hi))
+    return (-48.0 * sd if 48.0 * sd <= 1.0 else -(1.0 + 64.0 / a)), 45.0 * sd
 
 
-def _gammainc_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0: mass below log(x / a) / whole."""
-    ratio = x / a
-    if not ratio > 0.0:
-        return 0.0  # x <= 0, or x / a underflows, which it does only where P does
-    below, above = _gamma_masses(a, math.log(ratio))
-    return below / (below + above)
+def _mass(a: float, lo: float, hi: float, factor=None) -> float:
+    """sqrt(a) times the integral of factor(u) exp(-a g(u)) over [lo, hi].
+
+    32-point Gauss-Legendre on 1/sqrt(a)-wide segments.  The sqrt(a) keeps the
+    whole mass near sqrt(2 pi) at any a, so tails far below it do not underflow.
+    """
+    if not hi > lo:
+        return 0.0
+    root = math.sqrt(a)
+    nseg = max(1, math.ceil((hi - lo) * root))
+    half = 0.5 * (hi - lo) / nseg
+    mids = lo + half * (2.0 * np.arange(nseg) + 1.0)
+    u = (mids[:, None] + half * _GL_NODES).ravel()
+    f = np.exp(-a * _g(u))
+    if factor is not None:
+        f *= factor(u)
+    return half * root * float(np.sum(f.reshape(nseg, -1) @ _GL_WEIGHTS))
 
 
 # ---------------------------------------------------------------------------
-# Student t
+# Student t: a normal mixture over the same quadrature
 # ---------------------------------------------------------------------------
+
+def _t_mass(x: float, df: int, density: bool = False) -> float:
+    """P(T_df <= -x) at x >= 0, or the density at x, times _mass' whole mass.
+
+    Over u = log(W / df) the tail is the mean of Phi(-x e^(u/2)) and the
+    density that of phi(x e^(u/2)) e^(u/2).  Either integrand is a bump of the
+    gamma's shape and sd, peaked near u* = -log(1 + x^2 / df) (exactly so as
+    x grows), so it is integrated over the gamma's window shifted by u*.
+    """
+    a = 0.5 * df
+    lo, hi = _window(a)
+    shift = -2.0 * math.log(math.hypot(1.0, x / math.sqrt(df)))  # x^2 may overflow
+    log_x = math.log(x) if x > 0.0 else -math.inf
+
+    def factor(u: np.ndarray) -> np.ndarray:
+        y = np.exp(0.5 * u + log_x)  # x e^(u/2), with no overflow or subnormal
+        if density:
+            return _NORM_PDF_C * np.exp(0.5 * u - 0.5 * y * y)
+        phi = np.empty_like(y)
+        _erfc(y / _SQRT2, phi, np.empty((5, y.size)))
+        return 0.5 * phi
+
+    with _discarded_branch_errstate():
+        return _mass(a, lo + shift, hi + shift, factor)
+
 
 def t_cdf(x: float, df) -> float:
-    """P(T_df <= x) via the regularized incomplete beta."""
+    """P(T_df <= x): a normal mixture over the chi-square quadrature."""
     df = checks.integer(df, "degrees of freedom", 1)
     x = checks.real(x, "x")
-    if x == 0.0:
-        return 0.5
-    xb = df / (df + x * x)  # handles x = +-inf (xb -> 0)
-    tail = 0.5 * _betainc_reg(0.5 * df, 0.5, xb)
+    a = 0.5 * df
+    tail = _t_mass(abs(x), df) / _mass(a, *_window(a))
     return 1.0 - tail if x > 0.0 else tail
-
-
-def _t_pdf(x: float, df: int) -> float:
-    c = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
-    return math.exp(c - 0.5 * (df + 1) * math.log1p(x * x / df))
 
 
 def t_quantile(p, df) -> float:
@@ -390,15 +357,17 @@ def t_quantile(p, df) -> float:
 def _t_quantile(pv: float, df: int) -> float:
     if pv == 0.5:
         return 0.0
-    if df == 1:
-        return math.tan(math.pi * (pv - 0.5))
+    if df == 1:  # closed forms, each written so that neither tail rounds away
+        return math.copysign(1.0 / math.tan(math.pi * min(pv, 1.0 - pv)), pv - 0.5)
     if df == 2:
-        u = 2.0 * pv - 1.0
-        return u * math.sqrt(2.0 / (1.0 - u * u))
+        return (2.0 * pv - 1.0) / math.sqrt(2.0 * pv * (1.0 - pv))
     z = normal_quantile(pv)
     # first-order df correction gives a start within a few percent
     start = z + (z ** 3 + z) / (4.0 * df)
-    return _invert_monotone(lambda t: t_cdf(t, df), lambda t: _t_pdf(t, df),
+    a = 0.5 * df
+    whole = _mass(a, *_window(a))
+    return _invert_monotone(lambda t: t_cdf(t, df),
+                            lambda t: _t_mass(abs(t), df, density=True) / whole,
                             pv, start, scale=1.0 + abs(start))
 
 
@@ -406,23 +375,38 @@ def _t_quantile(pv: float, df: int) -> float:
 # Chi-square
 # ---------------------------------------------------------------------------
 
+def _gamma_masses(a: float, s: float) -> tuple[float, float]:
+    """Masses of exp(-a g(u)) below and above u = s, on _mass' scale.
+
+    The lower integral starts 64 / a below s when that is below the window,
+    for the reason the window's lo does, which keeps deep lower tails
+    accurate to their own size.
+    """
+    lo, hi = _window(a)
+    return (_mass(a, min(lo, s - 64.0 / a), min(s, hi)), _mass(a, max(lo, s), hi))
+
+
 def chisq_cdf(x: float, df) -> float:
-    """P(X <= x) for a chi-square variable with df degrees of freedom."""
+    """P(X <= x): the gamma mass below u = log(x / df) over the whole mass."""
     df = checks.integer(df, "degrees of freedom", 1)
     x = checks.real(x, "x")
     if x == math.inf:
         return 1.0
-    return _gammainc_lower_reg(0.5 * df, 0.5 * x)
+    ratio = x / df
+    if not ratio > 0.0:
+        return 0.0  # x <= 0, or x / df underflows, which it does only where P does
+    below, above = _gamma_masses(0.5 * df, math.log(ratio))
+    return below / (below + above)
 
 
-def _chisq_pdf(x: float, df: int, mass: float) -> float:
-    # chisq_cdf's own derivative, the quadrature's integrand at s = log(x / df)
-    # over x times its whole mass, so Newton's step needs no lgamma either.
+def _chisq_pdf(x: float, df: int, whole: float) -> float:
+    # chisq_cdf's own derivative, the quadrature's integrand at u = log(x / df)
+    # over x times its whole mass, so Newton's step needs no gamma function either.
     ratio = x / df
     if not ratio > 0.0:
         return 0.0
-    s = math.log(ratio)
-    return math.exp(-0.5 * df * (math.expm1(s) - s)) / (x * mass)
+    a = 0.5 * df
+    return math.sqrt(a) * math.exp(-a * float(_g(np.float64(math.log(ratio))))) / (x * whole)
 
 
 def chisq_quantile(p, df) -> float:
@@ -435,14 +419,14 @@ def chisq_quantile(p, df) -> float:
 def _chisq_quantile(pv: float, df: int) -> float:
     z = normal_quantile(pv)
     a = 0.5 * df
-    mass = sum(_gamma_masses(a, 0.0))
+    whole = _mass(a, *_window(a))
     # Wilson-Hilferty start; where its cube is not positive, p is deep in the
-    # power-law tail P ~ e^(a (s + 1)) / (a mass), s = log(x / df)
+    # power-law tail P ~ e^(a (u + 1)) / (sqrt(a) whole), u = log(x / df)
     h = 2.0 / (9.0 * df)
     start = df * (1.0 - h + z * math.sqrt(h)) ** 3
     if not start > 0.0:
-        start = df * math.exp(math.log(pv * a * mass) / a - 1.0)
-    return _invert_monotone(lambda x: chisq_cdf(x, df), lambda x: _chisq_pdf(x, df, mass),
+        start = df * math.exp(math.log(pv * math.sqrt(a) * whole) / a - 1.0)
+    return _invert_monotone(lambda x: chisq_cdf(x, df), lambda x: _chisq_pdf(x, df, whole),
                             pv, start, scale=max(start, 1.0), lo_bound=0.0)
 
 
@@ -450,49 +434,51 @@ def _chisq_quantile(pv: float, df: int) -> float:
 # Safeguarded Newton inversion shared by the t and chi-square quantiles
 # ---------------------------------------------------------------------------
 
+def _midpoint(lo: float, hi: float) -> float:
+    """The double halfway from lo to hi in the order of the doubles."""
+    # a double's rank: its bit pattern as an integer, negated below zero
+    k = sum(b if b >= 0 else -(b & 0x7FFF_FFFF_FFFF_FFFF)
+            for b in struct.unpack("<2q", struct.pack("<2d", lo, hi))) // 2
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
+
+
 def _invert_monotone(cdf, pdf, p: float, start: float, scale: float,
                      lo_bound: float = -math.inf) -> float:
-    """Solve cdf(x) = p by Newton with a bisection safeguard."""
-    # tolerance must go relative for tiny p, or any deep-tail point "solves" it
-    ptol = min(1e-13, 1e-9 * p)
-    # bracket the root around the start
-    lo, hi = start, start
-    step = max(abs(scale), 1.0)
-    for _ in range(200):
-        if cdf(lo) <= p:
-            break
-        lo = max(lo_bound, lo - step)
-        step *= 2.0
-        if lo == lo_bound:
-            break
-    step = max(abs(scale), 1.0)
-    for _ in range(200):
-        if cdf(hi) >= p:
-            break
-        hi += step
-        step *= 2.0
+    """Solve cdf(x) = p by Newton inside a bracket, else bisection (rtsafe).
 
-    x = min(max(start, lo), hi)
-    for _ in range(300):
-        err = cdf(x) - p
-        if abs(err) <= ptol:
-            return x
-        if err > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
+    The bracket grows from the start until the cdf crosses p, as it must by
+    cdf(lo_bound) = 0 and cdf(inf) = 1.  A Newton step is taken only while it
+    stays inside and under half the step before; otherwise the bracket is
+    halved in the order of the doubles, closing to adjacent doubles in at most
+    64 halvings.  Returns the first x with |cdf(x) - p| <= min(1e-13, 1e-9 p),
+    else the end of that bracket whose cdf is nearer p by ratio.
+    """
+    ptol = min(1e-13, 1e-9 * p)
+    lo, hi, step = start, start, scale
+    flo = fhi = cdf(start)
+    while flo > p:
+        hi, fhi = lo, flo
+        lo = max(lo_bound, lo - step)
+        flo = cdf(lo)
+        step *= 2.0
+    while fhi < p:
+        lo, flo = hi, fhi
+        hi += step
+        fhi = cdf(hi)
+        step *= 2.0
+    x, fx = (lo, flo) if p - flo < fhi - p else (hi, fhi)
+    last = math.inf
+    while abs(fx - p) > ptol:
+        mid = _midpoint(lo, hi)
+        if mid == lo or mid == hi:
+            return hi if (fhi / p) * (flo / p) < 1.0 else lo
         d = pdf(x)
-        if d > 0.0:
-            nxt = x - err / d
+        newton = x - (fx - p) / d if d > 0.0 else math.nan
+        nxt = newton if lo < newton < hi and abs(newton - x) < 0.5 * last else mid
+        last = abs(nxt - x)
+        x, fx = nxt, cdf(nxt)
+        if fx < p:
+            lo, flo = x, fx
         else:
-            nxt = math.nan
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if nxt == x:
-            return x
-        x = nxt
-    # ptol can sit below the CDF's own evaluation noise; the bracket is then
-    # already far tighter than the documented 1e-9 / 1e-8 contracts.
-    if abs(cdf(x) - p) <= max(1e-11, 1e-7 * p):
-        return x
-    raise ConvergenceError(f"quantile inversion stalled at p={p}")
+            hi, fhi = x, fx
+    return x

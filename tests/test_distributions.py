@@ -201,6 +201,78 @@ class TestStudentT:
         with pytest.raises(DomainError):
             t_cdf(1.0, df)
 
+    # P(T <= -x) by 40-digit mpmath (CI installs no mpmath):
+    #     mp.dps = 40
+    #     X = mpf(x)
+    #     tail = betainc(mpf(df) / 2, mpf(1) / 2, 0, df / (df + X * X), regularized=True) / 2
+    # where the tail is >= 1e-300.  df = 24997 is the survey strata's.
+    T_CDF_MPMATH = [
+        (1, 1e-08, 0.49999999681690116), (1, 1.96, 0.15017144588801656),
+        (1, 30.0, 0.010606402405535424), (1, 1e+100, 3.183098861837907e-101),
+        (2, 1e-08, 0.4999999964644661), (2, 1.96, 0.09452865480086614),
+        (2, 30.0, 0.0005546313409798294), (2, 1e+100, 5e-201),
+        (3, 1e-08, 0.499999996324474), (3, 1.96, 0.07242610428242682),
+        (3, 30.0, 4.0676402135819796e-05), (3, 1e+100, 1.1026577908435841e-300),
+        (27, 1e-08, 0.49999999604733747), (27, 1.96, 0.0301958651607711),
+        (27, 30.0, 1.4289356486694257e-22),
+        (996, 1e-08, 0.4999999960115784), (996, 1.96, 0.02513714970799514),
+        (996, 30.0, 1.0780769012268518e-141),
+        (24997, 1e-08, 0.4999999960106171), (24997, 1.96, 0.025003441673335926),
+        (24997, 30.0, 1.3628377880959943e-194),
+        (1000000, 1e-08, 0.4999999960105782), (1000000, 1.96, 0.024998033792634895),
+        (1000000, 30.0, 6.010047116831719e-198),
+        (100000000, 1e-08, 0.4999999960105772), (100000000, 1.96, 0.024997896534664055),
+        (100000000, 30.0, 4.916682142941633e-198),
+    ]
+
+    @pytest.mark.parametrize("df, x, tail", T_CDF_MPMATH)
+    def test_cdf_matches_mpmath_on_the_smaller_tail(self, df, x, tail):
+        assert t_cdf(-x, df) == pytest.approx(tail, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 30, 2 ** 62, 10 ** 300])
+    def test_cdf_is_a_probability_at_any_x(self, df):
+        # The shifted window keeps the node count bounded at any (df, x).
+        for x in (5e-324, 1e200, 1e300, math.inf):
+            for signed in (x, -x):
+                value = t_cdf(signed, df)
+                assert type(value) is float and 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("df", [10 ** 10, 10 ** 16, 10 ** 18, 2 ** 62, 10 ** 300])
+    def test_quantile_at_huge_df_matches_its_expansion(self, df):
+        # The next term of the expansion is O(1 / df^2).
+        z = normal_quantile(0.975)
+        expected = z + (z ** 3 + z) / (4 * df)
+        assert t_quantile(0.975, df) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("df, p, expected", [
+        (1, 1e-300, -3.1830988618379066e+299),  # -1 / tan(pi p)
+        (1, 1 - 2 ** -40, 349985421095.13297),  # 1 / tan(pi (1 - p))
+        (2, 1e-17, -223606797.74997896),        # (2p - 1) / sqrt(2p (1 - p))
+    ])
+    def test_closed_forms_keep_both_tails(self, df, p, expected):
+        assert t_quantile(p, df) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("df", [1, 2])
+    @pytest.mark.parametrize("p", [2 ** -40, 1e-10, 0.1, 0.3])
+    def test_closed_forms_are_antisymmetric(self, df, p):
+        upper = 1.0 - p
+        assert t_quantile(upper, df) == -t_quantile(1.0 - upper, df)
+
+    # findroot of log(tail(-e^s)) = log(1e-300) with the mpmath tail above.
+    @pytest.mark.parametrize("df, expected", [
+        (3, -1.0331108360446529e+100),
+        (5, -1.5683925590993378e+60),
+        (30, -50178575360.505081),
+    ])
+    def test_quantile_in_the_power_law_tail(self, df, expected):
+        # Newton crawls here by about 1 + 1/df a step, so the bracket and
+        # bisection find it; P ~ |x|^-df turns p's 1e-9 into x's 1e-9 / df.
+        assert t_quantile(1e-300, df) == pytest.approx(expected, rel=1e-9)
+        assert t_cdf(t_quantile(1e-300, df), df) == pytest.approx(1e-300, rel=1e-8, abs=0.0)
+
+    def test_cdf_at_the_df_1_closed_form_deep_tail(self):
+        assert t_cdf(t_quantile(1e-300, 1), 1) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
 
 class TestChiSquare:
     def test_quantiles_match_oracle(self):
@@ -232,6 +304,16 @@ class TestChiSquare:
     def test_cdf_at_zero(self):
         assert chisq_cdf(0.0, 5) == 0.0
         assert chisq_cdf(-1.0, 5) == 0.0
+
+    def test_cdf_at_the_smallest_subnormal(self):
+        # gammainc(1/2, 0, 5e-324 / 2, regularized=True) at 40 digits; x / 2
+        # underflows, x / df does not.
+        assert chisq_cdf(5e-324, 1) == pytest.approx(1.7735048886036273e-162, rel=1e-12, abs=0.0)
+
+    def test_quantile_below_the_smallest_positive_double(self):
+        # P(5e-324) is already 1.8e-162 at df = 1: no positive double has
+        # P = 1e-300, and the bracket closes on 0 and 5e-324.
+        assert chisq_quantile(1e-300, 1) == 5e-324
 
     def test_quantile_inverts_cdf_large_df(self):
         # exercises the quadrature route for large shape
