@@ -32,21 +32,21 @@ GENERATE_BLOCKS_DIGEST = "f72297f5d82ab5232a15fa698e6674a8226c96c63961f7287eda32
 
 CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
-    "fit": "ea23366c196816d9a02d9a522c2e8208e2a130d436ff304c757a9e445280002a",
+    "fit": "cd02ef9e40a25af1e3f2dd0d834ebf31fc3059b94f2b4bd0219325d88de7a17b",
     "logit-stratified": "1ee1d0bfbf64f8b22e59c0d81fa073a4e86eb782119ba92e5831174037fe22be",
-    "ratio-ci-stratified": "4bf449b96f6a0ae374147e23df00136588bceb91f1e84543db15789b8beb647a",
-    "simulate-replicates": "95451bc05a47f43d54818be80815016693392a5dc4c30769774823fcba3e0802",
-    "fit-stratified-vif": "443cd37409e6c79e8e8bbe4ec0180e9ed019d728e4caad385c14fbe8f6793085",
-    "sensitivity": "f4ee40d80ba09710aa219cf75322af8ed805c37671b27d63fc367694011c9242",
+    "ratio-ci-stratified": "7a496a07cbee6bb356cc83a2bd0cfbd36133d948dd443b9f16073c623b72cd67",
+    "simulate-replicates": "255559b409d827f4096cf79869daee5235539cddce3147b788d13749a020e12d",
+    "fit-stratified-vif": "8d793bd86080b22d38682da6dc9307bef56d48a842c0d4b605c54291eb803125",
+    "sensitivity": "f053c75f968007dba38974813c1378c9607b81b600abe54781683834d6d380d1",
     "fit-stratified-text": "8161a2e614180bc45252cf8f98417694257e7732bd26cdecedd9487d9148959a",
     "logit-stratified-text": "89ea9c41b2ee5257a1663ec3a46a339fe360ffdb5d0dff6f6e932bdb8e99c773",
     "sensitivity-text": "14a166fe27e4695005cb4031d80c3cb1352931fea44fe08f9f490a38a1a171fd",
     "sensitivity-summary-text": "447515cac030b7a2162ff31662a31d53e03eb9857d536a3c9af84b8ccf9351eb",
-    "sensitivity-summary": "89dbe94843b84057866eaee9919f9facc16a1d6578cc41ac803f83089f44f594",
+    "sensitivity-summary": "6d7f8be66301f8388f64fa3c97f777b14434f3544f125bad00a306b7f261ac8f",
     "ratio-ci-stratified-text": "2882e01f14c4c8d990c9def9065e05a91315fb4f2d12e14d02b61e2f71bde33e",
     "bias-grid": "4beab4102eb23ac3f10b3c5fbfaf1ba60a99b5892cf24e4c6cb686413932e37d",
     "simulate-replicates-text": "12579705544c1ebc925907ba11821c23ae75b6824218942ddfebd3e6dd6973b7",
-    "simulate-replicates-large": "50ced0eddee7fd0f3d3edbefe6bf9def8a7d267e5032256afbe0fd9cc16e4ff4",
+    "simulate-replicates-large": "35fab5a12823a6a5cd2b6bac398c27c588eaf9e9275e612b4483c4d67daae124",
 }
 
 CLI_ARGV = {
@@ -108,7 +108,7 @@ CLI_ARGV = {
 # a_on_eps_x != 0, so the report carries no bias_decomposition block
 SPEC = {"beta": 1.0, "gamma": 0.5, "theta_x": 0.0, "a_on_u": 1.0, "a_noise_sd": 0.5,
         "x_noise_sd": 0.5, "y_noise_sd": 1.0, "a_on_eps_x": 0.2}
-SPEC_REPLICATES_DIGEST = "c3a4071ec1e95a1add0bb5946a3cd91382ce5327d5e56afdfa04f79a8a86f98e"
+SPEC_REPLICATES_DIGEST = "76600a2c9fd076475454499c8e5173498fc3e49309e5eaf98492366f02d65afa"
 
 
 def _sha256(data: bytes) -> str:
