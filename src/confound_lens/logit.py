@@ -93,13 +93,12 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
         sqrt_w = np.sqrt(mu * (1.0 - mu))
         z = np.divide(y - mu, sqrt_w, out=np.zeros_like(mu), where=sqrt_w > 0.0)
         try:
-            direction, _, _, R = _least_squares(X * sqrt_w[:, None], z)
+            direction, R = _least_squares(X * sqrt_w[:, None], z)
         except RankDeficientError:
             if iterations == 0:  # equal weights: the design itself is collinear
                 raise
             raise SeparationError("fitted probabilities have collapsed to 0/1") from None
-        r_step = R @ direction
-        converged = bool(r_step @ r_step <= DECREMENT_TOL)
+        converged = bool(R[:-1, -1] @ R[:-1, -1] <= DECREMENT_TOL)
         if converged or iterations == MAX_ITERATIONS:
             break
 
@@ -122,7 +121,7 @@ def fit_logit(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ..
                 f"numerically 0 or 1 no longer determine the coefficients; data "
                 f"look quasi-completely separated")
 
-    beta, standard_errors, _ = _inference(beta, R, 0.0, means, 1.0)
+    beta, standard_errors, _ = _inference(beta, R[:-1, :-1], 0.0, means, 1.0)
     probs = np.clip(mu, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
 
     return LogitFit(

@@ -3,7 +3,8 @@
 The solver goes through a QR factorization rather than the normal equations:
 the whole point of this package is diagnosing strongly collinear designs, and
 squaring the design matrix would throw away half the usable precision exactly
-where it matters.  Centred regressors keep any covariate's origin out of it.
+where it matters.  A fit factors [X | y] once and reads every statistic off
+that one R.  Centred regressors keep any covariate's origin out of it.
 """
 
 from __future__ import annotations
@@ -97,22 +98,18 @@ def _check_rank(R: np.ndarray) -> None:
         )
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QR solve of y on X: coefficients, residuals, RSS and the R factor.
-
-    Every least-squares fit goes through here, for one design X (n, p) and
-    y (n,) or a stack X (b, n, p) and y (b, n).  A fit's bits do not depend on
-    its stack if X is C-contiguous (y is made so)."""
-    y = np.ascontiguousarray(y)
+def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR solve of y on X, one design X (n, p) and y (n,) or a stack X (b, n, p)
+    and y (b, n): the coefficients and the R factor of [X | y], whose last
+    column is Q'y and whose corner R[p, p] is the residual norm (Golub & Van
+    Loan 5.3).  Every least-squares fit goes through here.  [X | y] is a fresh
+    C-contiguous array, so a fit's bits do not depend on its stack."""
     n, p = X.shape[-2:]
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
-    Q, R = np.linalg.qr(X)
-    _check_rank(R)
-    beta = np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
-    residuals = y - (X @ beta[..., None])[..., 0]
-    return beta, residuals, (residuals[..., None, :] @ residuals[..., None])[..., 0, 0], R
+    R = np.linalg.qr(np.concatenate((X, y[..., None]), axis=-1), mode="r")
+    _check_rank(R[..., :p, :p])
+    return np.linalg.solve(R[..., :p, :p], R[..., :p, p:])[..., 0], R
 
 
 def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance):
@@ -132,22 +129,22 @@ def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance)
 def _fit(values: np.ndarray, y: np.ndarray):
     """The centred fit of outcomes y (..., n) on an intercept and the regressors
     `values` (..., n, k), for one design or a stack: coefficients, standard
-    errors, t-values, residuals, RSS and y less its first value, which is the
-    outcome fitted.  Less its mean, the intercept would be 0 and its rounding
-    error in every residual."""
+    errors, t-values, residuals, RSS = R[p, p]^2 and R^2 = ESS / (ESS + RSS),
+    1 where y does not vary, ESS being |Q'y|^2 past the intercept's row.  y is
+    fitted less its first value; less its mean, the intercept would be 0 and
+    its rounding error in every residual.  RSS <= RANK_TOL^2 (ESS + RSS), the
+    rank rule's tolerance, is an exact fit in any units: RSS 0 and R^2 1."""
     X, means = _design(values)
     shifted = y - y[..., :1]
-    beta, residuals, rss, R = _least_squares(X, shifted)
+    beta, R = _least_squares(X, shifted)
+    residuals = shifted - (X @ beta[..., None])[..., 0]
     n, p = X.shape[-2:]
-    return (*_inference(beta, R, y[..., 0], means, rss / (n - p)), residuals, rss, shifted)
-
-
-def _r_squared(y: np.ndarray, rss: float) -> float:
-    """Centered R^2; 1 when y has no variation to explain."""
-    if y.min() == y.max():  # y - mean(y) would be rounding noise
-        return 1.0
-    tss = float(np.sum((y - y.mean()) ** 2))
-    return 1.0 if tss <= 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+    ess = np.sum(R[..., 1:p, p] ** 2, axis=-1)
+    rss = R[..., p, p] ** 2
+    rss = np.where(rss <= RANK_TOL ** 2 * (ess + rss), 0.0, rss)
+    r_squared = np.divide(ess, ess + rss, out=np.ones_like(rss), where=rss > 0.0)
+    return (*_inference(beta, R[..., :p, :p], y[..., 0], means, rss / (n - p)),
+            residuals, rss, r_squared)
 
 
 def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> OlsFit:
@@ -158,7 +155,7 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     r_squared is centered.  With no regressors this is the intercept-only fit.
     """
     y = data.column(outcome)  # a missing outcome is named before a missing regressor
-    beta, standard_errors, t_values, residuals, rss, shifted = _fit(
+    beta, standard_errors, t_values, residuals, rss, r_squared = _fit(
         data.matrix(list(regressors)), y)
     df_residual = data.n - len(regressors) - 1
     p_values = np.array([2.0 * t_cdf(-abs(t), df_residual) for t in t_values])
@@ -170,7 +167,7 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         standard_errors=standard_errors,
         t_values=t_values,
         p_values=p_values,
-        r_squared=_r_squared(shifted, float(rss)),
+        r_squared=float(r_squared),
         residual_variance=float(rss) / df_residual,
         df_residual=df_residual,
         residuals=residuals,
