@@ -32,21 +32,21 @@ GENERATE_BLOCKS_DIGEST = "f72297f5d82ab5232a15fa698e6674a8226c96c63961f7287eda32
 
 CLI_DIGESTS = {
     "simulate-csv": "21770acea2f879449c0507830259a834c1d086653af255f4ebac1bf7209c27e4",
-    "fit": "cd02ef9e40a25af1e3f2dd0d834ebf31fc3059b94f2b4bd0219325d88de7a17b",
-    "logit-stratified": "1ee1d0bfbf64f8b22e59c0d81fa073a4e86eb782119ba92e5831174037fe22be",
-    "ratio-ci-stratified": "7a496a07cbee6bb356cc83a2bd0cfbd36133d948dd443b9f16073c623b72cd67",
-    "simulate-replicates": "255559b409d827f4096cf79869daee5235539cddce3147b788d13749a020e12d",
-    "fit-stratified-vif": "8d793bd86080b22d38682da6dc9307bef56d48a842c0d4b605c54291eb803125",
-    "sensitivity": "f053c75f968007dba38974813c1378c9607b81b600abe54781683834d6d380d1",
+    "fit": "3471b817cd5da52a119a668dc782c89a0387a768c46980e8ae326e19e46e6df1",
+    "logit-stratified": "3b3accf5434aaebfa5c3cce81dec2212854de09e88c59e008b8ee83d81c231f6",
+    "ratio-ci-stratified": "0e9b3198b3843d0e53bb561bf2c2dd1fdfd59d2be5d0f102d2d1fe9a7558dfdd",
+    "simulate-replicates": "66ac07236c1ca3dda691242852b00ef29fc262a94e69278a48a58a4645ca30fd",
+    "fit-stratified-vif": "06aabcba47c33d50dad87004118bc2fbcfb331d6ce09d22269a9b5ad9b5f8b76",
+    "sensitivity": "0f3da9e72ac776a6c0a2e5a1770e7c4abad9a629a43604d7dd6974059893983a",
     "fit-stratified-text": "8161a2e614180bc45252cf8f98417694257e7732bd26cdecedd9487d9148959a",
     "logit-stratified-text": "89ea9c41b2ee5257a1663ec3a46a339fe360ffdb5d0dff6f6e932bdb8e99c773",
     "sensitivity-text": "14a166fe27e4695005cb4031d80c3cb1352931fea44fe08f9f490a38a1a171fd",
     "sensitivity-summary-text": "447515cac030b7a2162ff31662a31d53e03eb9857d536a3c9af84b8ccf9351eb",
     "sensitivity-summary": "6d7f8be66301f8388f64fa3c97f777b14434f3544f125bad00a306b7f261ac8f",
     "ratio-ci-stratified-text": "2882e01f14c4c8d990c9def9065e05a91315fb4f2d12e14d02b61e2f71bde33e",
-    "bias-grid": "4beab4102eb23ac3f10b3c5fbfaf1ba60a99b5892cf24e4c6cb686413932e37d",
+    "bias-grid": "e6bf60490d27c9662d075b12030cd49ec60864f18523fc87949949efa6fbba27",
     "simulate-replicates-text": "12579705544c1ebc925907ba11821c23ae75b6824218942ddfebd3e6dd6973b7",
-    "simulate-replicates-large": "35fab5a12823a6a5cd2b6bac398c27c588eaf9e9275e612b4483c4d67daae124",
+    "simulate-replicates-large": "74f5d804367625b8a172df611d4440d26fb310b50a86ec9d91ed2493a56f42a8",
 }
 
 CLI_ARGV = {
@@ -108,7 +108,7 @@ CLI_ARGV = {
 # a_on_eps_x != 0, so the report carries no bias_decomposition block
 SPEC = {"beta": 1.0, "gamma": 0.5, "theta_x": 0.0, "a_on_u": 1.0, "a_noise_sd": 0.5,
         "x_noise_sd": 0.5, "y_noise_sd": 1.0, "a_on_eps_x": 0.2}
-SPEC_REPLICATES_DIGEST = "76600a2c9fd076475454499c8e5173498fc3e49309e5eaf98492366f02d65afa"
+SPEC_REPLICATES_DIGEST = "fa28c33140416bab2cf3fc8d29ff964c03855374d9c2ca006b12b51c34e2ab8b"
 
 
 def _sha256(data: bytes) -> str:
@@ -150,7 +150,7 @@ def test_simulate_replicates_from_spec_file_is_pinned(tmp_path, monkeypatch):
 # collinearity ratio of random exposure fits: one line per case, either the
 # exact bits of every returned float or the class of the error raised.
 POPULATION_BIAS_DIGEST = "a0121c5dceb7cfc980202b872d7f9722c7b39ed7811faaa05b0725a084da78f3"
-RATIO_POINT_ESTIMATE_DIGEST = "f7f3936975179ae32ac620dc1b124a28fdf35e234ae421c37d8fcdc19aa64071"
+RATIO_POINT_ESTIMATE_DIGEST = "50083ff46546ac8278493d24201872a873bcb37995e6b7ceff7ca94b3dd2ce4c"
 
 
 def _bits_or_error(fn, *args) -> str:
