@@ -309,6 +309,13 @@ def _mass(a: float, lo: float, hi: float, factor=None) -> float:
     return half * root * float(np.sum(f.reshape(nseg, -1) @ _GL_WEIGHTS))
 
 
+@functools.lru_cache(maxsize=1024)
+def _whole_mass(df: int) -> float:
+    """The whole mass of exp(-a g(u)), a = df / 2, on _mass' scale."""
+    a = 0.5 * df
+    return _mass(a, *_window(a))
+
+
 # ---------------------------------------------------------------------------
 # Student t: a normal mixture over the same quadrature
 # ---------------------------------------------------------------------------
@@ -342,8 +349,7 @@ def t_cdf(x: float, df) -> float:
     """P(T_df <= x): a normal mixture over the chi-square quadrature."""
     df = checks.integer(df, "degrees of freedom", 1)
     x = checks.real(x, "x")
-    a = 0.5 * df
-    tail = _t_mass(abs(x), df) / _mass(a, *_window(a))
+    tail = _t_mass(abs(x), df) / _whole_mass(df)
     return 1.0 - tail if x > 0.0 else tail
 
 
@@ -364,8 +370,7 @@ def _t_quantile(pv: float, df: int) -> float:
     z = normal_quantile(pv)
     # first-order df correction gives a start within a few percent
     start = z + (z ** 3 + z) / (4.0 * df)
-    a = 0.5 * df
-    whole = _mass(a, *_window(a))
+    whole = _whole_mass(df)
     return _invert_monotone(lambda t: t_cdf(t, df),
                             lambda t: _t_mass(abs(t), df, density=True) / whole,
                             pv, start, scale=1.0 + abs(start))
@@ -419,7 +424,7 @@ def chisq_quantile(p, df) -> float:
 def _chisq_quantile(pv: float, df: int) -> float:
     z = normal_quantile(pv)
     a = 0.5 * df
-    whole = _mass(a, *_window(a))
+    whole = _whole_mass(df)
     # Wilson-Hilferty start; where its cube is not positive, p is deep in the
     # power-law tail P ~ e^(a (u + 1)) / (sqrt(a) whole), u = log(x / df)
     h = 2.0 / (9.0 * df)
