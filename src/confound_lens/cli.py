@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .bias import collinearity_ratio, exposure_stats_from_ols
+from .bias import ProxyModel, decompose_bias, exposure_stats_from_ols
 from .dataset import Dataset
 from .errors import (ConfoundLensError, ConvergenceError, DegenerateExposureError,
                      DomainError, EmptyAfterFilteringError, InsufficientRowsError,
@@ -325,9 +325,9 @@ def _handle_sensitivity(args) -> str:
 
 def _handle_bias_grid(args) -> str:
     fit = _exposure_fit(args, ingest_csv(_source(args)))
-    ratio = collinearity_ratio(exposure_stats_from_ols(fit, args.proxy))
+    exposure = exposure_stats_from_ols(fit, args.proxy)
     lines = ["gamma,var_eps_x,bias"]
-    lines += [f"{g!r},{v!r},{g * v * ratio!r}"
+    lines += [f"{g!r},{v!r},{decompose_bias(ProxyModel(g, v), exposure).bias!r}"
               for g in args.gamma_grid for v in args.eps_grid]
     return "\n".join(lines) + "\n"
 
