@@ -16,7 +16,9 @@ design with its columns scaled to unit norm, then one complete least-squares
 refit per regressor, of the regressor less its first value on the others less
 their means.  Its rows/rank verdict is the one the package must give; its
 values, 1 / (1 - R^2) by subtraction, lose about VIF * eps relative and are
-not compared.  The normal sampler reference is the package's former
+not compared.  `r_squared_two_pass` is the package's former R^2 on that
+refit: 1 - RSS/TSS, RSS from the residuals of the explicit-Q solve and TSS
+from a second pass over the outcome.  The normal sampler reference is the package's former
 masked-selection kernel, kept verbatim.
 """
 
@@ -317,6 +319,12 @@ def _intercept_fit_r_squared(X: np.ndarray, y: np.ndarray) -> float:
 def _centred_design(values: np.ndarray) -> np.ndarray:
     """The intercept column and each column of `values` minus its own mean."""
     return np.column_stack([np.ones(len(values))] + [c - c.mean() for c in values.T])
+
+
+def r_squared_two_pass(values: np.ndarray, y: np.ndarray) -> float:
+    """Centred R^2 of y on an intercept and the (n, k) array `values`, from
+    the fit of y less its first value on the centred design."""
+    return _intercept_fit_r_squared(_centred_design(values), y - y[0])
 
 
 def vif_nested(values: np.ndarray) -> list[float]:

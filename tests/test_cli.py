@@ -438,6 +438,17 @@ class TestExitCodes:
             3, "", "error: treatment 'x' has standard error 0 (an exact fit), so its "
                    "partial R^2 and robustness values are undefined\n")
 
+    def test_exact_fit_in_other_units_exit_3_from_sensitivity(self, capsys, tmp_path):
+        # y = 3 - x on 1..7: the residual dot product read t = 8e15, and
+        # partial R^2 rounded to 1 ("partial_r2 must lie in [0, 1)")
+        path = tmp_path / "exact.csv"
+        path.write_text("x,y\n" + "".join(f"{x},{3 - x}\n" for x in range(1, 8)),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "sensitivity", "--input", str(path),
+                                 "--outcome", "y", "--exposure", "x")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: treatment 'x' has standard error 0 (an exact fit)")
+
     def test_degenerate_exposure_exit_3_from_ratio_ci_and_bias_grid(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.normal(size=2000)
