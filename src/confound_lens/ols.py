@@ -99,11 +99,10 @@ def _check_rank(R: np.ndarray) -> None:
 
 
 def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR solve of y on X, one design X (n, p) and y (n,) or a stack X (b, n, p)
-    and y (b, n): the coefficients and the R factor of [X | y], whose last
-    column is Q'y and whose corner R[p, p] is the residual norm (Golub & Van
-    Loan 5.3).  Every least-squares fit goes through here.  [X | y] is a fresh
-    C-contiguous array, so a fit's bits do not depend on its stack."""
+    """QR solve of y on X, one design X (n, p) and y (n,) or a stack (b, n, p) and
+    (b, n): the coefficients and the R factor of [X | y], whose last column is Q'y and
+    whose corner is the residual norm (Golub & Van Loan 5.3).  Every least-squares fit
+    goes through here.  [X | y] is C-contiguous, so a fit's bits do not depend on its stack."""
     n, p = X.shape[-2:]
     if n - p < 1:
         raise InsufficientRowsError(f"n={n} rows leave no residual degrees of freedom for p={p}")
@@ -128,12 +127,11 @@ def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance)
 
 def _fit(values: np.ndarray, y: np.ndarray):
     """The centred fit of outcomes y (..., n) on an intercept and the regressors
-    `values` (..., n, k), for one design or a stack: coefficients, standard
-    errors, t-values, residuals, RSS = R[p, p]^2 and R^2 = ESS / (ESS + RSS),
-    1 where y does not vary, ESS being |Q'y|^2 past the intercept's row.  y is
-    fitted less its first value; less its mean, the intercept would be 0 and
-    its rounding error in every residual.  RSS <= RANK_TOL^2 (ESS + RSS), the
-    rank rule's tolerance, is an exact fit in any units: RSS 0 and R^2 1."""
+    `values` (..., n, k), one design or a stack: coefficients, standard errors,
+    t-values, residuals, RSS = R[p, p]^2 and R^2 = ESS / (ESS + RSS) (1 where y does
+    not vary), ESS = |Q'y|^2 past the intercept's row.  y is fitted less its first
+    value: less its mean, the intercept would be 0 and its rounding error in every
+    residual.  RSS <= RANK_TOL^2 (ESS + RSS) is an exact fit in any units: RSS 0, R^2 1."""
     X, means = _design(values)
     shifted = y - y[..., :1]
     beta, R = _least_squares(X, shifted)

@@ -439,8 +439,8 @@ class TestExitCodes:
                    "partial R^2 and robustness values are undefined\n")
 
     def test_exact_fit_in_other_units_exit_3_from_sensitivity(self, capsys, tmp_path):
-        # y = 3 - x on 1..7: the residual dot product read t = 8e15, and
-        # partial R^2 rounded to 1 ("partial_r2 must lie in [0, 1)")
+        # y = 3 - x on 1..7, whose residuals y - X b are rounding noise: an RSS
+        # read from them gives t = 8e15 and a partial R^2 that rounds to 1
         path = tmp_path / "exact.csv"
         path.write_text("x,y\n" + "".join(f"{x},{3 - x}\n" for x in range(1, 8)),
                         encoding="utf-8")

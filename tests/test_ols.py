@@ -33,8 +33,8 @@ def _data(**cols):
 
 
 # y = 3, 5, 7, 9 on x = [1, 2, 3, 4] c, on x shifted by 1e6, and y = 3 - x on
-# 1..7.  A residual dot product read rounding noise as RSS at c = 0.1, 3, 1/3
-# and 1e3 and on 3 - x (t near 1e15, p near 1e-30), but 0 at the other scales.
+# 1..7.  The residuals y - X b are rounding noise, 0 at some scales of x and not
+# at others (c = 0.1, 3, 1/3 and 1e3, and 3 - x), whose RSS gives t near 1e15.
 EXACT_FITS = {
     **{f"x*{c:g}": (np.arange(1.0, 5.0) * c, np.arange(3.0, 10.0, 2.0))
        for c in (1.0, 10.0, 0.1, 3.0, 7.0, 1.0 / 3.0, 1e-3, 1e3)},
