@@ -20,6 +20,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -50,6 +51,11 @@ class _UsageError(ConfoundLensError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" then a digit or "." is a value, as -1e5 and -1:1:3 (argparse's own: -12, -1.5)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -55,7 +55,6 @@ class OlsFit(_NamedCoefficients):
     r_squared: float
     residual_variance: float
     df_residual: int
-    residuals: np.ndarray
     n: int
 
     def t_value(self, name: str) -> float:
@@ -128,21 +127,19 @@ def _inference(beta: np.ndarray, R: np.ndarray, y0, means: np.ndarray, variance)
 def _fit(values: np.ndarray, y: np.ndarray):
     """The centred fit of outcomes y (..., n) on an intercept and the regressors
     `values` (..., n, k), one design or a stack: coefficients, standard errors,
-    t-values, residuals, RSS = R[p, p]^2 and R^2 = ESS / (ESS + RSS) (1 where y does
-    not vary), ESS = |Q'y|^2 past the intercept's row.  y is fitted less its first
-    value: less its mean, the intercept would be 0 and its rounding error in every
-    residual.  RSS <= RANK_TOL^2 (ESS + RSS) is an exact fit in any units: RSS 0, R^2 1."""
+    t-values, RSS = R[p, p]^2 and R^2 = ESS / (ESS + RSS) (1 where y does not vary),
+    ESS = |Q'y|^2 past the intercept's row.  y is fitted less its first value: less
+    its mean, the intercept would be 0 and its rounding error in every residual.
+    RSS <= RANK_TOL^2 (ESS + RSS) is an exact fit in any units: RSS 0, R^2 1."""
     X, means = _design(values)
-    shifted = y - y[..., :1]
-    beta, R = _least_squares(X, shifted)
-    residuals = shifted - (X @ beta[..., None])[..., 0]
+    beta, R = _least_squares(X, y - y[..., :1])
     n, p = X.shape[-2:]
     ess = np.sum(R[..., 1:p, p] ** 2, axis=-1)
     rss = R[..., p, p] ** 2
     rss = np.where(rss <= RANK_TOL ** 2 * (ess + rss), 0.0, rss)
     r_squared = np.divide(ess, ess + rss, out=np.ones_like(rss), where=rss > 0.0)
     return (*_inference(beta, R[..., :p, :p], y[..., 0], means, rss / (n - p)),
-            residuals, rss, r_squared)
+            rss, r_squared)
 
 
 def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]) -> OlsFit:
@@ -153,7 +150,7 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
     r_squared is centered.  With no regressors this is the intercept-only fit.
     """
     y = data.column(outcome)  # a missing outcome is named before a missing regressor
-    beta, standard_errors, t_values, residuals, rss, r_squared = _fit(
+    beta, standard_errors, t_values, rss, r_squared = _fit(
         data.matrix(list(regressors)), y)
     df_residual = data.n - len(regressors) - 1
     p_values = np.array([2.0 * t_cdf(-abs(t), df_residual) for t in t_values])
@@ -168,7 +165,6 @@ def fit_ols(data: Dataset, outcome: str, regressors: list[str] | tuple[str, ...]
         r_squared=float(r_squared),
         residual_variance=float(rss) / df_residual,
         df_residual=df_residual,
-        residuals=residuals,
         n=data.n,
     )
 

@@ -31,8 +31,7 @@ from .dataset import Dataset
 from .distributions import _BLOCK, normal_quantile_vec
 from .errors import DomainError
 from .ols import _fit
-from .sensitivity import (TreatmentSummary, partial_r2, robustness_value,
-                          robustness_value_alpha)
+from .sensitivity import _EXACT_FIT, _statistics
 
 _TWO53 = 2 ** 53
 _TWO64 = 2 ** 64
@@ -234,22 +233,22 @@ def replicate_study(spec: DgpSpec, n: int, replicates: int, seed: int,
     stats = []
     for start in range(0, replicates, stack):
         draws = _draws(spec, n, seeds[start:start + stack])
-        # beta, se and t of a in y ~ 1 + a + x; the stack's residuals go with the call
+        # beta, se and t of a in y ~ 1 + a + x
         stats.append(np.stack(_fit(draws[..., 2:0:-1], draws[..., 3])[:3])[..., 1])
         del draws  # before the next stack is drawn
     beta_hats, std_errors, t_values = np.concatenate(stats, axis=1)
-    summaries = [TreatmentSummary(t_value=float(t), df=n - 3) for t in t_values]
+    exact = np.flatnonzero(np.isinf(t_values))
+    if exact.size:
+        raise DomainError(f"replicate {exact[0]}: treatment 'a' {_EXACT_FIT}")
+    partial, rv_q, rv_q_alpha = _statistics(t_values, n - 3, q, alpha)
     return ReplicateSummary(
-        n=n,
-        replicates=replicates,
-        q=q,
-        alpha=alpha,
+        n=n, replicates=replicates, q=q, alpha=alpha,
         beta_hats=beta_hats,
         std_errors=std_errors,
         mean_beta_hat=float(np.mean(beta_hats)),
         sd_beta_hat=float(np.std(beta_hats, ddof=1)) if replicates > 1 else 0.0,
         mean_std_error=float(np.mean(std_errors)),
-        mean_partial_r2=float(np.mean([partial_r2(ts) for ts in summaries])),
-        mean_rv_q=float(np.mean([robustness_value(ts, q) for ts in summaries])),
-        mean_rv_q_alpha=float(np.mean([robustness_value_alpha(ts, q, alpha) for ts in summaries])),
+        mean_partial_r2=float(np.mean(partial)),
+        mean_rv_q=float(np.mean(rv_q)),
+        mean_rv_q_alpha=float(np.mean(rv_q_alpha)),
     )

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -18,6 +19,11 @@ from confound_lens.ingest import dataset_to_csv
 import oracles
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "nhanes_synthetic.csv")
+# x = 1..8, y = 2x + 3 +- 1e-9 (signs alternating, + first): t = 1.15e10, just outside
+# the exact-fit rule, so its partial R^2 and robustness values round to 1
+NEAR_EXACT_CSV = ("x,y\n1,5.000000001\n2,6.999999999\n3,9.000000001\n4,10.999999999\n"
+                  "5,13.000000001\n6,14.999999999\n7,17.000000001\n8,18.999999999\n")
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +455,28 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: treatment 'x' has standard error 0 (an exact fit)")
 
+    def test_exactly_fitted_replicate_exit_3_from_simulate(self, capsys, tmp_path):
+        spec_path = tmp_path / "exact.json"
+        spec_path.write_text(json.dumps({"beta": 2, "gamma": 0, "theta_x": 0, "a_on_u": 1,
+                                         "a_noise_sd": 1, "x_noise_sd": 1, "y_noise_sd": 0}),
+                             encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--preset", str(spec_path), "--n", "50",
+                                 "--replicates", "3")
+        assert (code, out, err) == (
+            3, "", "error: replicate 0: treatment 'a' has standard error 0 (an exact fit), "
+                   "so its partial R^2 and robustness values are undefined\n")
+
+    @pytest.mark.parametrize("mode", ["summary", "data"])
+    def test_statistics_that_round_to_1_exit_0_below_it(self, capsys, tmp_path, mode):
+        path = tmp_path / "near-exact.csv"
+        path.write_text(NEAR_EXACT_CSV, encoding="utf-8")
+        argv = {"summary": ("--t", "5e9", "--df", "997"),
+                "data": ("--input", str(path), "--outcome", "y", "--exposure", "x")}[mode]
+        stratum = run_json(capsys, "sensitivity", *argv, "--deterministic")["strata"][0]
+        assert stratum["treatment"]["t_value"] > 1e9
+        stats = stratum["sensitivity"]
+        assert [stats[k] for k in ("partial_r2", "rv_q", "rv_q_alpha")] == [BELOW_ONE] * 3
+
     def test_degenerate_exposure_exit_3_from_ratio_ci_and_bias_grid(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.normal(size=2000)
@@ -580,3 +608,47 @@ class TestExitCodes:
         assert code == 5
         assert out == ""
         assert err == "error: MemoryError: Unable to allocate 29.1 PiB\n"
+
+
+class TestNegativeFlagValues:
+    """A flag value of "-" then a digit or "." is a value in any float form, not a flag."""
+
+    def test_argparse_still_sets_the_matcher_the_parser_replaces(self):
+        # cli._Parser replaces this private attribute; were it renamed, -1e5 would
+        # silently read as a flag again
+        assert isinstance(vars(argparse.ArgumentParser())["_negative_number_matcher"],
+                          re.Pattern)
+        matcher = cli._Parser()._negative_number_matcher
+        assert all(matcher.match(v) for v in ("-1e5", "-7e-1", "-.5", "-1,0,1", "-1:1:3"))
+        assert not any(matcher.match(v) for v in ("-", "--t", "-h", "-inf"))
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("--t", "-1e5", "--df", "99"), "t", -1e5),
+        (("--t", "-.5", "--df", "99"), "t", -0.5),
+        (("--t", "-5", "--df", "99", "--estimate", "-7e-1", "--se", "1.4e-1"), "estimate",
+         -0.7),
+    ], ids=["t-1e5", "t-.5", "estimate-7e-1"])
+    def test_sensitivity_reads_a_negative_value(self, capsys, argv, key, value):
+        report = run_json(capsys, "sensitivity", *argv, "--deterministic")
+        assert report["config"][key] == value
+
+    @pytest.mark.parametrize("grid", ["-1,0,1", "-1:1:3"])
+    def test_bias_grid_reads_a_negative_first_gamma(self, capsys, grid):
+        code, out, err = run_cli(capsys, "bias-grid", "--input", FIXTURE, "--exposure",
+                                 "smoker", "--proxy", "poverty_index", "--gamma-grid", grid,
+                                 "--eps-grid", "1")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1.0", "0.0", "1.0"]
+
+    def test_stdin_dash_is_still_a_value(self):
+        args = cli._build_parser().parse_args(["fit", "--input", "-", "--outcome", "y"])
+        assert args.input == "-"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--bogus",), "unrecognized arguments: --bogus"),
+        (("--df", "5", "--t"), "argument --t: expected one argument"),
+        (("--t", "--df", "5"), "argument --t: expected one argument"),
+    ], ids=["unknown-flag", "last-flag-without-value", "flag-without-value"])
+    def test_flags_are_still_flags(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sensitivity", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")

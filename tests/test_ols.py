@@ -148,21 +148,21 @@ class TestFitInvariants:
         data = generate(STUDY_PRESETS["study2"], 400, 3)
         return fit_ols(data, "y", ["a", "x"]), data
 
+    @staticmethod
+    def residuals(fit, data):
+        """y - X b from the fitted coefficients."""
+        X = np.column_stack([np.ones(data.n), data.column("a"), data.column("x")])
+        return data.column("y") - X @ fit.coefficients
+
     def test_residual_orthogonality(self, fit_and_data):
         fit, data = fit_and_data
         n = data.n
+        residuals = self.residuals(fit, data)
         for name in ("a", "x"):
             col = data.column(name)
-            scale = float(np.max(np.abs(col))) * float(np.max(np.abs(fit.residuals)))
-            assert abs(fit.residuals @ col) <= 1e-8 * n * max(scale, 1.0)
-        assert abs(fit.residuals.sum()) <= 1e-8 * n  # intercept column
-
-    def test_fitted_plus_residual_reconstructs_outcome(self, fit_and_data):
-        fit, data = fit_and_data
-        y = data.column("y")
-        X = np.column_stack([np.ones(data.n), data.column("a"), data.column("x")])
-        reconstructed = X @ fit.coefficients + fit.residuals
-        np.testing.assert_allclose(reconstructed, y, rtol=1e-10)
+            scale = float(np.max(np.abs(col))) * float(np.max(np.abs(residuals)))
+            assert abs(residuals @ col) <= 1e-8 * n * max(scale, 1.0)
+        assert abs(residuals.sum()) <= 1e-8 * n  # intercept column
 
     def test_t_equals_estimate_over_se(self, fit_and_data):
         fit, _ = fit_and_data
@@ -188,7 +188,8 @@ class TestFitInvariants:
     def test_df_residual_accounting(self, fit_and_data):
         fit, data = fit_and_data
         assert fit.df_residual == data.n - 3
-        rss = float(fit.residuals @ fit.residuals)
+        residuals = self.residuals(fit, data)
+        rss = float(residuals @ residuals)
         assert fit.residual_variance == pytest.approx(rss / fit.df_residual, rel=1e-14)
 
 
@@ -438,7 +439,7 @@ class TestStackedKernel:
         stacked = ols._fit(values[..., :-1], values[..., -1])
         for i in range(values.shape[0]):
             single = ols._fit(values[i, :, :-1], values[i, :, -1])
-            # coefficients, standard errors, t-values, residuals, RSS, R^2
+            # coefficients, standard errors, t-values, RSS, R^2
             for a, b in zip(single, stacked, strict=True):
                 assert np.asarray(a).tobytes() == b[i].tobytes()
 

@@ -84,11 +84,15 @@ class TestInvariants:
         assume(f2 <= 1e3)  # same ulp-amplification limit as above
         assert abs(pr2 / (1.0 - pr2) - f2) <= 1e-12 * max(1.0, f2)
 
-    def test_values_stay_inside_unit_interval_for_huge_t(self):
-        ts = TreatmentSummary(t_value=1e8, df=2)
-        assert 0.0 <= robustness_value(ts) < 1.0
-        assert 0.0 <= robustness_value_alpha(ts) < 1.0
-        assert 0.0 <= partial_r2(ts) < 1.0
+    @pytest.mark.parametrize("df", [2, 997])
+    @pytest.mark.parametrize("t", [1e8, 5e9, -5e9, 1e154, 1e200])
+    def test_values_stay_inside_unit_interval_for_huge_t(self, t, df):
+        # 1 + 4/f^2 rounds to 1 from f ~ 2e8, and t^2 overflows from |t| ~ 1.3e154
+        ts = TreatmentSummary(t_value=t, df=df)
+        report = sensitivity_report(ts)
+        values = [robustness_value(ts), robustness_value_alpha(ts), partial_r2(ts),
+                  report.partial_r2, report.rv_q, report.rv_q_alpha]
+        assert all(math.isfinite(v) and 0.0 <= v < 1.0 for v in values), values
 
 
 class TestTreatmentSummary:

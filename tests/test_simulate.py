@@ -5,10 +5,15 @@ from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS,
                            derive_replicate_seed, exposure_stats_from_moments,
                            fit_ols, general_bias, generate, population_moments,
                            population_bias_decomposition, population_ols_bias,
-                           replicate_study, simulate)
+                           replicate_study, sensitivity_report, simulate)
 from confound_lens.bias import ProxyModel
 from confound_lens.distributions import normal_quantile_vec
 from confound_lens.errors import DegenerateExposureError, DomainError
+from confound_lens.sensitivity import TreatmentSummary
+
+# y = 2 a up to noise 1e-9: t-values near 1e10, whose statistics round to 1
+NEAR_EXACT = DgpSpec(beta=2.0, gamma=0.0, theta_x=0.0, a_on_u=1.0, a_noise_sd=1.0,
+                     x_noise_sd=1.0, y_noise_sd=1e-9)
 
 
 def _random_spec(rng) -> DgpSpec:
@@ -240,6 +245,25 @@ class TestReplicateStudy:
         summary = replicate_study(spec, 1000, 50, seed=2)
         mc_se = summary.sd_beta_hat / np.sqrt(summary.replicates)
         assert abs(summary.mean_beta_hat - pop) <= 4 * mc_se
+
+    @pytest.mark.parametrize("spec", [STUDY_PRESETS["study1"], STUDY_PRESETS["study2"],
+                                      NEAR_EXACT], ids=["study1", "study2", "near-exact"])
+    def test_means_equal_the_single_study_statistics_bit_for_bit(self, spec):
+        n, q, alpha = 50, 0.7, 0.1
+        summary = replicate_study(spec, n, 9, seed=4, q=q, alpha=alpha)
+        reports = [sensitivity_report(TreatmentSummary(float(t), n - 3), q, alpha)
+                   for t in summary.beta_hats / summary.std_errors]
+        for name in ("partial_r2", "rv_q", "rv_q_alpha"):
+            expected = float(np.mean([getattr(r, name) for r in reports]))
+            assert getattr(summary, f"mean_{name}") == expected, name
+            assert 0.0 <= expected < 1.0
+
+    def test_exactly_fitted_replicate_is_refused(self):
+        exact = DgpSpec(**{**NEAR_EXACT.to_dict(), "y_noise_sd": 0.0})
+        with pytest.raises(DomainError, match=r"^replicate 0: treatment 'a' has standard "
+                                              r"error 0 \(an exact fit\), so its partial "
+                                              r"R\^2 and robustness values are undefined$"):
+            replicate_study(exact, 50, 3, seed=0)
 
     def test_derived_seeds_are_distinct_and_deterministic(self):
         seeds = {derive_replicate_seed(9, i) for i in range(100)}
