@@ -53,7 +53,7 @@ class _UsageError(ConfoundLensError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # "-" then a digit or "." is a value, as -1e5 and -1:1:3 (argparse's own: -12, -1.5)
+        # "-" then a digit or "." is a value (-1e5, -1:1:3); argparse's own takes -12, -1.5
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):

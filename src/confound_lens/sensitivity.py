@@ -7,9 +7,9 @@ it is the share of residual variance (of both treatment and outcome) that an
 unmeasured confounder would need to explain away the stated fraction q of the
 estimate.  The alpha variant subtracts the critical f for significance at
 level alpha (two-sided, df - 1) before applying the same map.  One kernel
-serves one study and a stack of replicates' t-values alike, and holds every
-statistic at or below the largest double under 1: a t-value that large is
-all but an exact fit, and t^2 may overflow.
+serves one study's t-value and a stack of replicates' t-values alike.  Every
+statistic is held at or below the largest double under 1: near an exact fit
+(|t| / sqrt(df) beyond about 1e8) each rounds to 1, and t^2 may overflow.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 @np.errstate(all="ignore")  # 4 / f^2 is inf where f^2 is 0 or subnormal
 def _rv_from_f(f):
     # Rationalized form of (sqrt(f^4 + 4 f^2) - f^2) / 2: exact for small f, and RV -> f
-    # where f*f underflows.  1 + 4/f^2 rounds to 1 once f > ~2e8, hence the clamp.
+    # where f*f underflows.  It rounds to 1 once f > ~1e8, hence the clamp.
     f = np.maximum(f, 0.0)
     f2 = f * f
     return np.minimum(np.where(f2 > 0.0, 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / f2)), f), _BELOW_ONE)

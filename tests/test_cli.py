@@ -640,10 +640,6 @@ class TestNegativeFlagValues:
         assert code == 0, err
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1.0", "0.0", "1.0"]
 
-    def test_stdin_dash_is_still_a_value(self):
-        args = cli._build_parser().parse_args(["fit", "--input", "-", "--outcome", "y"])
-        assert args.input == "-"
-
     @pytest.mark.parametrize("argv, message", [
         (("--bogus",), "unrecognized arguments: --bogus"),
         (("--df", "5", "--t"), "argument --t: expected one argument"),

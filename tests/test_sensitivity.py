@@ -87,7 +87,7 @@ class TestInvariants:
     @pytest.mark.parametrize("df", [2, 997])
     @pytest.mark.parametrize("t", [1e8, 5e9, -5e9, 1e154, 1e200])
     def test_values_stay_inside_unit_interval_for_huge_t(self, t, df):
-        # 1 + 4/f^2 rounds to 1 from f ~ 2e8, and t^2 overflows from |t| ~ 1.3e154
+        # each statistic rounds to 1 from |t| / sqrt(df) ~ 1e8; t^2 overflows from |t| ~ 1.3e154
         ts = TreatmentSummary(t_value=t, df=df)
         report = sensitivity_report(ts)
         values = [robustness_value(ts), robustness_value_alpha(ts), partial_r2(ts),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS,
+from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS, TreatmentSummary,
                            derive_replicate_seed, exposure_stats_from_moments,
                            fit_ols, general_bias, generate, population_moments,
                            population_bias_decomposition, population_ols_bias,
@@ -9,7 +9,6 @@ from confound_lens import (DgpSpec, PopulationMoments, STUDY_PRESETS,
 from confound_lens.bias import ProxyModel
 from confound_lens.distributions import normal_quantile_vec
 from confound_lens.errors import DegenerateExposureError, DomainError
-from confound_lens.sensitivity import TreatmentSummary
 
 # y = 2 a up to noise 1e-9: t-values near 1e10, whose statistics round to 1
 NEAR_EXACT = DgpSpec(beta=2.0, gamma=0.0, theta_x=0.0, a_on_u=1.0, a_noise_sd=1.0,
